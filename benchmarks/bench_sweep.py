@@ -1,12 +1,12 @@
 """Scalar-vs-vectorized sweep benchmark and ``BENCH_sweep.json`` emitter.
 
-Times ``predict_sweep`` end to end on the paper's Section IV sweeps, a
-dense 256-point sweep, and the ``STREAM_CHUNK_SWEEP`` /
-``SHARD_COUNT_SWEEP`` backend families, on both evaluation paths:
+Times the paper's Section IV sweeps, a dense 256-point sweep, and the
+``STREAM_CHUNK_SWEEP`` / ``SHARD_COUNT_SWEEP`` backend families two ways:
 
-* ``scalar`` — the original per-size path (one ``analyse_metrics`` plus one
-  scalar backend call per size per backend),
-* ``batch``  — the vectorized path (one compiled
+* ``scalar`` — the per-size public loop, ``analyse(n, backends=...)`` for
+  every size (one scalar metrics factory call plus one scalar backend call
+  per size per backend),
+* ``batch``  — ``predict_sweep`` (one compiled
   :class:`~repro.core.batch.MetricsBatch` built through the algorithm's
   array-native ``metrics_batch`` factory, one array program per backend
   family).
@@ -16,7 +16,7 @@ Each entry additionally reports a **factory-time column**: how long the
 factory versus the vectorized whole-sweep factory (the metrics factories
 used to dominate the batch path at ~80 % of its time).
 
-Every entry asserts bit-for-bit parity between the two paths
+Every entry asserts bit-for-bit parity between the two
 (``np.allclose(..., rtol=0, atol=0)``) before it is recorded, and the
 result is written as machine-readable JSON so the performance trajectory is
 tracked PR over PR (the CI ``perf-smoke`` lane uploads it as an artifact
@@ -105,24 +105,19 @@ def dense_sizes(points: int = DENSE_POINTS) -> List[int]:
     return list(dense_sweep(points).sizes)
 
 
-def _time_path(algorithm, sizes, backends, path: str, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of one ``predict_sweep`` path."""
+def _best_of(call, repeats: int) -> float:
+    """Best-of-``repeats`` wall time of ``call()``."""
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        algorithm.predict_sweep(sizes, backends=backends, path=path)
+        call()
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def _time_factory(build, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of one batch-compilation path."""
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        build()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _analyse_each(algorithm, sizes, backends) -> list:
+    """The per-size reference loop: one ``analyse`` report per size."""
+    return [algorithm.analyse(n, backends=backends) for n in sizes]
 
 
 def bench_entry(
@@ -132,34 +127,38 @@ def bench_entry(
     backends: Sequence[str],
     repeats: int = 3,
 ) -> Dict:
-    """Time both paths on one sweep and verify their parity."""
+    """Time the per-size loop and the sweep, and verify their parity."""
     sizes = list(sizes)
     backends = tuple(backends)
-    scalar = algorithm.predict_sweep(sizes, backends=backends, path="scalar")
-    batch = algorithm.predict_sweep(sizes, backends=backends, path="batch")
+    reports = _analyse_each(algorithm, sizes, backends)
+    batch = algorithm.predict_sweep(sizes, backends=backends)
     max_diff = 0.0
     parity = True
     for backend in backends:
-        a = scalar.series_for(backend)
+        a = np.array([report.backend_cost(backend) for report in reports])
         b = batch.series_for(backend)
         max_diff = max(max_diff, float(np.max(np.abs(a - b))))
         parity = parity and bool(np.allclose(a, b, rtol=0, atol=0))
     parity = parity and bool(np.allclose(
-        scalar.predicted_transfer_proportions,
+        [report.predicted_transfer_proportion for report in reports],
         batch.predicted_transfer_proportions,
         rtol=0, atol=0,
     ))
-    scalar_s = _time_path(algorithm, sizes, backends, "scalar", repeats)
-    batch_s = _time_path(algorithm, sizes, backends, "batch", repeats)
+    scalar_s = _best_of(
+        lambda: _analyse_each(algorithm, sizes, backends), repeats
+    )
+    batch_s = _best_of(
+        lambda: algorithm.predict_sweep(sizes, backends=backends), repeats
+    )
     machine = DEFAULT_PRESET.machine
-    factory_scalar_s = _time_factory(
+    factory_scalar_s = _best_of(
         lambda: MetricsBatch.compile(
             algorithm.name, sizes,
             lambda n: algorithm.metrics(n, machine),
         ),
         repeats,
     )
-    factory_batch_s = _time_factory(
+    factory_batch_s = _best_of(
         lambda: algorithm.compile_batch(sizes), repeats
     )
     return {
@@ -187,30 +186,26 @@ SIM_DENSE_POINTS = 128
 
 
 def sim_batch_section(repeats: int = 3, points: int = SIM_DENSE_POINTS) -> Dict:
-    """Scalar vs batched **simulator** wall time on a dense sweep.
+    """Per-size vs batched **simulator** wall time on a dense sweep.
 
-    Times ``observe_sweep`` end to end on both paths — the scalar per-size
-    device loop against the :mod:`repro.simulator.batch` probe-and-replay
-    path — and asserts bit-for-bit parity of every reported series before
-    recording.  The scalar loop is timed once (it dominates the section's
-    wall time at tens of seconds); the batched path is best-of-``repeats``.
+    Times the per-size ``observe(n)`` device loop against ``observe_sweep``
+    (the :mod:`repro.simulator.batch` probe-and-replay path) and asserts
+    bit-for-bit parity of every reported series before recording.  The
+    per-size loop is timed once (it dominates the section's wall time at
+    tens of seconds); the sweep is best-of-``repeats``.
     """
     algorithm = VectorAddition()
     sizes = dense_sizes(points)
     start = time.perf_counter()
-    scalar = algorithm.observe_sweep(sizes, path="scalar")
+    scalar = [algorithm.observe(n) for n in sizes]
     scalar_s = time.perf_counter() - start
-    batch = algorithm.observe_sweep(sizes, path="batch")
+    batch = algorithm.observe_sweep(sizes)
     parity = (
-        batch.total_times == scalar.total_times
-        and batch.kernel_times == scalar.kernel_times
-        and batch.transfer_times == scalar.transfer_times
+        batch.total_times == [r.total_time_s for r in scalar]
+        and batch.kernel_times == [r.kernel_time_s for r in scalar]
+        and batch.transfer_times == [r.transfer_time_s for r in scalar]
     )
-    batch_s = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        algorithm.observe_sweep(sizes, path="batch")
-        batch_s = min(batch_s, time.perf_counter() - start)
+    batch_s = _best_of(lambda: algorithm.observe_sweep(sizes), repeats)
     return {
         "name": f"sim_dense{points}/vector_addition",
         "algorithm": algorithm.name,
@@ -260,7 +255,7 @@ def heterogeneous_fleet_section(repeats: int = 3) -> Dict:
             HETERO_FLEET, planner=planner,
         )
         parity = parity and bool(np.allclose(scalar, vector, rtol=0, atol=0))
-        batch_s = _time_factory(
+        batch_s = _best_of(
             lambda: topology_cost_batch(
                 batch, preset.machine, preset.parameters, preset.occupancy,
                 HETERO_FLEET, planner=planner,

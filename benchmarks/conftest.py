@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.experiments import ExperimentRunner
+from repro.experiments import Session, paper_specs
 
 
 def bench_scale() -> str:
@@ -32,12 +32,7 @@ def scale() -> str:
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """The experiment runner shared by every benchmark."""
-    return ExperimentRunner(scale=bench_scale())
-
-
-@pytest.fixture(scope="session")
-def paper_comparisons(runner):
+def paper_comparisons():
     """Prediction-vs-observation sweeps for the three paper algorithms."""
-    return runner.run_paper_evaluation()
+    results = Session().run_many(paper_specs(scale=bench_scale()))
+    return {result.algorithm: result.comparison() for result in results}

@@ -75,7 +75,6 @@ from repro.core import (
     register_backend,
 )
 from repro.experiments import (
-    ExperimentRunner,
     ExperimentSpec,
     Result,
     ResultSet,
@@ -121,7 +120,6 @@ __all__ = [
     "get_preset",
     "make_async_backend",
     "register_backend",
-    "ExperimentRunner",
     "ExperimentSpec",
     "Result",
     "ResultSet",

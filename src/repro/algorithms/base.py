@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,19 +30,24 @@ from repro.core.prediction import (
     predict_sweep,
 )
 from repro.core.presets import DEFAULT_PRESET, GPUPreset
-from repro.core.topology import Topology
+from repro.core.topology import Topology, plan_bounds
 from repro.pseudocode.program import Program
+from repro.simulator.batch import (
+    ShardedSweepObservation,
+    ShardPlan,
+    StreamedSweepObservation,
+    StreamPlan,
+    play_shard_plan,
+    play_stream_plan,
+    simulate_sharded_sweep,
+    simulate_streamed_sweep,
+    simulate_sweep,
+)
 from repro.simulator.config import DeviceConfig
 from repro.simulator.device import GPUDevice
 from repro.simulator.device_pool import DevicePool
 from repro.simulator.streams import StreamTimeline
 from repro.utils.validation import ensure_positive_int
-
-#: Evaluation strategies for observed sweeps, mirroring the prediction
-#: side's ``SWEEP_PATHS``: ``"auto"`` takes the batched simulator when the
-#: algorithm allows it, ``"batch"`` forces it, ``"scalar"`` forces the
-#: per-size loop (the parity reference).
-OBSERVE_PATHS = ("auto", "batch", "scalar")
 
 
 def chunk_bounds(n: int, chunks: int) -> List[tuple]:
@@ -64,30 +69,33 @@ def chunk_bounds(n: int, chunks: int) -> List[tuple]:
     return bounds
 
 
-def sharded_pool_bounds(
-    device: GPUDevice,
-    n: int,
+def sharded_pool(
+    config: DeviceConfig,
     devices: int,
     contention: float,
     topology: Optional[Topology],
-) -> tuple:
-    """The ``(pool, bounds)`` pair every sharded run schedules against.
+) -> DevicePool:
+    """The device pool every sharded run schedules against.
 
     Without a topology: a homogeneous pool of ``devices`` over one link
-    with the given ``contention``, and the near-equal :func:`chunk_bounds`
-    split.  With one: a topology-driven pool (per-socket link stretch) and
-    the throughput-weighted :func:`~repro.core.topology.plan_bounds`
-    split, whose zero-width bounds mark devices the planner left idle.
+    with the given ``contention``.  With one: a topology-driven pool
+    (per-socket link stretch).
     """
     if topology is None:
-        pool = DevicePool(
-            devices, config=device.config, contention=contention
-        )
-        return pool, chunk_bounds(n, devices)
-    from repro.core.topology import plan_bounds
+        return DevicePool(devices, config=config, contention=contention)
+    return DevicePool(config=config, topology=topology)
 
-    pool = DevicePool(config=device.config, topology=topology)
-    return pool, plan_bounds(n, topology.throughputs())
+
+def shard_bounds(pool: DevicePool, n: int) -> List[tuple]:
+    """``[lo, hi)`` shard of each device of a :func:`sharded_pool`.
+
+    The near-equal :func:`chunk_bounds` split for a homogeneous pool; the
+    throughput-weighted :func:`~repro.core.topology.plan_bounds` split for
+    a topology, whose zero-width bounds mark devices the planner left idle.
+    """
+    if pool.topology is None:
+        return chunk_bounds(n, pool.num_devices)
+    return plan_bounds(n, pool.topology.throughputs())
 
 
 @dataclass
@@ -207,13 +215,6 @@ class GPUAlgorithm(abc.ABC):
     name: str = "algorithm"
     #: Human-readable description.
     description: str = ""
-    #: Whether the batched simulator (:mod:`repro.simulator.batch`) may
-    #: probe this algorithm's :meth:`run`.  The probe replays the real host
-    #: program against a recording device, which is faithful for anything
-    #: that only talks to the :class:`GPUDevice` API; set ``False`` if a
-    #: custom ``run`` inspects device timings mid-run, and ``observe_sweep``
-    #: will keep the scalar loop on ``path="auto"``.
-    sim_batch_safe: bool = True
     #: Whether this algorithm's kernel traces depend on input *values*
     #: rather than just indices.  ``False`` lets the batched-simulator probe
     #: skip host-buffer copies and vectorised data fallbacks (the timing
@@ -309,26 +310,24 @@ class GPUAlgorithm(abc.ABC):
         sizes: Optional[Sequence[int]] = None,
         preset: GPUPreset = DEFAULT_PRESET,
         backends: Optional[Sequence[str]] = None,
-        path: str = "auto",
     ) -> SweepPrediction:
         """Per-backend cost predictions over a sweep of input sizes.
 
-        ``path`` selects the evaluation strategy (see
-        :func:`repro.core.prediction.predict_sweep`): the default ``"auto"``
-        vectorizes the whole sweep when every backend supports it, compiling
-        the metrics through :meth:`metrics_batch` (no per-size
-        :class:`~repro.core.metrics.RoundMetrics` objects).
+        The whole sweep is compiled once through :meth:`metrics_batch` and
+        priced as one array program per backend family (see
+        :func:`repro.core.prediction.predict_sweep`); per-size
+        :class:`~repro.core.analysis.AnalysisReport` objects come from
+        :meth:`analyse`.
         """
         sizes = list(sizes) if sizes is not None else self.default_sizes()
         return predict_sweep(
             algorithm=self.name,
             sizes=sizes,
-            metrics_factory=lambda n: self.metrics(n, preset.machine),
+            metrics_factory=None,
             machine=preset.machine,
             parameters=preset.parameters,
             occupancy=preset.occupancy,
             backends=backends,
-            path=path,
             grid_factory=lambda ns: self.metrics_batch(ns, preset.machine),
         )
 
@@ -366,20 +365,28 @@ class GPUAlgorithm(abc.ABC):
     ) -> StreamedRunResult:
         """Chunked, double-buffered execution on asynchronous streams.
 
-        Splits the workload into ``chunks`` pieces, schedules each piece's
-        H2D copies, kernels and D2H copies on its own stream of a
-        :class:`~repro.simulator.streams.StreamTimeline`, and reports the
-        overlapped makespan alongside the serial sum.  Not every algorithm
-        decomposes this way; the base implementation raises.
+        Splits the workload into ``chunks`` pieces, each on its own stream
+        of a :class:`~repro.simulator.streams.StreamTimeline`, and reports
+        the overlapped makespan alongside the serial sum.  The schedule is
+        the algorithm's :meth:`sim_stream_plan`, played back onto the
+        timeline (:func:`~repro.simulator.batch.play_stream_plan`); the
+        outputs come from :meth:`schedule_outputs`.  ``device`` supplies
+        the configuration.
         """
-        raise NotImplementedError(
-            f"algorithm {self.name!r} has no streamed execution mode"
+        n, outputs = self.schedule_outputs(device, inputs)
+        plan = self.sim_stream_plan(
+            n, device.config, chunks=chunks, pinned=pinned
+        )
+        return StreamedRunResult(
+            outputs=outputs,
+            chunk_count=min(chunks, n),
+            timeline=play_stream_plan(plan, device.config),
         )
 
     @property
     def supports_streaming(self) -> bool:
-        """Whether :meth:`run_streamed` is implemented for this algorithm."""
-        return type(self).run_streamed is not GPUAlgorithm.run_streamed
+        """Whether this algorithm has a stream plan (:meth:`sim_stream_plan`)."""
+        return type(self).sim_stream_plan is not GPUAlgorithm.sim_stream_plan
 
     def run_sharded(
         self,
@@ -392,56 +399,73 @@ class GPUAlgorithm(abc.ABC):
     ) -> ShardedRunResult:
         """Sharded execution across a multi-device pool.
 
-        Splits the workload into ``devices`` shards, schedules each shard's
-        H2D copies, kernels and D2H copies on its own device of a
-        :class:`~repro.simulator.device_pool.DevicePool` (one shared host
-        link with the given ``contention``), and reports the straggler
-        makespan alongside the serial single-device sum.  ``device``
-        supplies the per-device configuration and the kernel/transfer
-        engines used for durations.  ``topology`` replaces ``devices`` /
-        ``contention`` with a full :class:`~repro.core.topology.Topology`:
-        shards are sized by per-device throughput
-        (:func:`~repro.core.topology.plan_bounds`) and the pool applies
-        per-socket link stretch.  Not every algorithm decomposes this
-        way; the base implementation raises.
+        Splits the workload into ``devices`` shards, each on its own device
+        of a :class:`~repro.simulator.device_pool.DevicePool` (one shared
+        host link with the given ``contention``), and reports the straggler
+        makespan alongside the serial single-device sum.  ``topology``
+        replaces ``devices`` / ``contention`` with a full
+        :class:`~repro.core.topology.Topology`: shards are sized by
+        per-device throughput (:func:`shard_bounds`) and the pool applies
+        per-socket link stretch.  The schedule is the algorithm's
+        :meth:`sim_shard_plan`, played back onto the pool
+        (:func:`~repro.simulator.batch.play_shard_plan`); the outputs come
+        from :meth:`schedule_outputs`.  ``device`` supplies the per-device
+        configuration.
         """
-        raise NotImplementedError(
-            f"algorithm {self.name!r} has no sharded execution mode"
+        n, outputs = self.schedule_outputs(device, inputs)
+        plan = self.sim_shard_plan(
+            n, device.config, devices=devices, contention=contention,
+            pinned=pinned, topology=topology,
+        )
+        pool = play_shard_plan(
+            plan, sharded_pool(device.config, devices, contention, topology)
+        )
+        return ShardedRunResult(
+            outputs=outputs, device_count=pool.num_devices, pool=pool
         )
 
     @property
     def supports_sharding(self) -> bool:
-        """Whether :meth:`run_sharded` is implemented for this algorithm."""
-        return type(self).run_sharded is not GPUAlgorithm.run_sharded
+        """Whether this algorithm has a shard plan (:meth:`sim_shard_plan`)."""
+        return type(self).sim_shard_plan is not GPUAlgorithm.sim_shard_plan
 
     # ------------------------------------------------------------------ #
-    # Batched-simulator plan hooks
+    # Streamed and sharded schedules
     # ------------------------------------------------------------------ #
+    def schedule_outputs(
+        self, device: GPUDevice, inputs: Dict[str, np.ndarray]
+    ) -> Tuple[int, Dict[str, np.ndarray]]:
+        """Input size and whole-array outputs of a streamed or sharded run.
+
+        Algorithms with a :meth:`sim_stream_plan` or :meth:`sim_shard_plan`
+        override this; the plan supplies the timing and this supplies the
+        data, which tests check against :meth:`reference`.
+        """
+        raise NotImplementedError(
+            f"algorithm {self.name!r} has no streamed or sharded execution mode"
+        )
+
     def sim_stream_plan(
         self,
         n: int,
         config: DeviceConfig,
         chunks: int = 2,
         pinned: bool = False,
-    ):
-        """Symbolic stream schedule of :meth:`run_streamed` at size ``n``.
+    ) -> StreamPlan:
+        """Symbolic stream schedule of a chunked run at size ``n``.
 
         Returns a :class:`~repro.simulator.batch.StreamPlan` whose operation
         structure (streams, engines, waits), word counts and kernel timings
-        replicate what ``run_streamed`` submits — including the scalar
-        path's device-memory allocation layout, since coalescing transaction
-        counts depend on array base offsets.  The batched
-        :meth:`observe_streamed_sweep` replays these plans as array
-        programs; algorithms without a plan fall back to the scalar loop.
+        describe the chunked run — including the device-memory allocation
+        layout its kernels are traced against, since coalescing transaction
+        counts depend on array base offsets.  This is the only description
+        of the schedule: :meth:`run_streamed` plays one plan back and
+        :meth:`observe_streamed_sweep` replays a sweep of them as array
+        programs.
         """
         raise NotImplementedError(
-            f"algorithm {self.name!r} has no streamed batch plan"
+            f"algorithm {self.name!r} has no streamed execution mode"
         )
-
-    @property
-    def supports_sim_stream_plan(self) -> bool:
-        """Whether :meth:`sim_stream_plan` is implemented."""
-        return type(self).sim_stream_plan is not GPUAlgorithm.sim_stream_plan
 
     def sim_shard_plan(
         self,
@@ -451,22 +475,19 @@ class GPUAlgorithm(abc.ABC):
         contention: float = 0.0,
         pinned: bool = False,
         topology: Optional["Topology"] = None,
-    ):
-        """Symbolic device-pool schedule of :meth:`run_sharded` at size ``n``.
+    ) -> ShardPlan:
+        """Symbolic device-pool schedule of a sharded run at size ``n``.
 
-        Returns a :class:`~repro.simulator.batch.ShardPlan` replicating the
-        per-device operations ``run_sharded`` submits (same allocation
-        layout, same shard bounds, same link stretches).  The batched
-        :meth:`observe_sharded_sweep` replays these plans as array programs.
+        Returns a :class:`~repro.simulator.batch.ShardPlan` listing each
+        device's operations (shard bounds from :func:`shard_bounds`, link
+        stretches from :func:`sharded_pool`).  This is the only description
+        of the schedule: :meth:`run_sharded` plays one plan back and
+        :meth:`observe_sharded_sweep` replays a sweep of them as array
+        programs.
         """
         raise NotImplementedError(
-            f"algorithm {self.name!r} has no sharded batch plan"
+            f"algorithm {self.name!r} has no sharded execution mode"
         )
-
-    @property
-    def supports_sim_shard_plan(self) -> bool:
-        """Whether :meth:`sim_shard_plan` is implemented."""
-        return type(self).sim_shard_plan is not GPUAlgorithm.sim_shard_plan
 
     def observe_streamed(
         self,
@@ -531,82 +552,32 @@ class GPUAlgorithm(abc.ABC):
         sizes: Optional[Sequence[int]] = None,
         config: Optional[DeviceConfig] = None,
         seed: int = 0,
-        path: str = "auto",
     ) -> SweepObservation:
         """Simulated total / kernel / transfer times over a sweep of sizes.
 
-        ``path`` selects the evaluation strategy (:data:`OBSERVE_PATHS`):
-        ``"auto"`` evaluates the whole sweep through the batched simulator
-        (:func:`repro.simulator.batch.simulate_sweep`, bit-for-bit equal to
-        the scalar loop) unless :attr:`sim_batch_safe` is ``False``;
-        ``"scalar"`` forces the per-size reference loop.
+        Evaluates the whole sweep through the batched simulator
+        (:func:`repro.simulator.batch.simulate_sweep`), bit-for-bit equal to
+        calling :meth:`observe` per size.
         """
-        if path not in OBSERVE_PATHS:
-            raise ValueError(
-                f"unknown observe path {path!r}; expected one of {OBSERVE_PATHS}"
-            )
-        sizes = list(sizes) if sizes is not None else self.default_sizes()
-        # Resolved once, shared by the batch path and the fallback loop
-        # (observe passes a non-None config straight through).
-        device_config = config or DeviceConfig.gtx650()
-        if path == "batch" or (path == "auto" and self.sim_batch_safe):
-            from repro.simulator.batch import simulate_sweep
-
-            return simulate_sweep(self, sizes, config=device_config, seed=seed)
-        records = [
-            self.observe(int(n), config=device_config, seed=seed) for n in sizes
-        ]
-        return SweepObservation(
-            algorithm=self.name,
-            sizes=[int(n) for n in sizes],
-            total_times=[r.total_time_s for r in records],
-            kernel_times=[r.kernel_time_s for r in records],
-            transfer_times=[r.transfer_time_s for r in records],
-        )
+        sizes = self.default_sizes() if sizes is None else sizes
+        return simulate_sweep(self, sizes, config=config, seed=seed)
 
     def observe_streamed_sweep(
         self,
         sizes: Optional[Sequence[int]] = None,
         config: Optional[DeviceConfig] = None,
         chunks: int = 2,
-        seed: int = 0,
         pinned: bool = False,
-        path: str = "auto",
-    ):
+    ) -> StreamedSweepObservation:
         """Streamed makespan / serial time over a sweep of sizes.
 
-        ``"auto"`` replays the algorithm's :meth:`sim_stream_plan` through
-        the batched replay when one is implemented (bit-for-bit equal to
-        per-size :meth:`observe_streamed`); otherwise, and on
-        ``path="scalar"``, it runs the per-size loop.
+        Replays the algorithm's :meth:`sim_stream_plan` for every size as
+        one array program, bit-for-bit equal to per-size
+        :meth:`observe_streamed`.
         """
-        if path not in OBSERVE_PATHS:
-            raise ValueError(
-                f"unknown observe path {path!r}; expected one of {OBSERVE_PATHS}"
-            )
-        sizes = list(sizes) if sizes is not None else self.default_sizes()
-        device_config = config or DeviceConfig.gtx650()
-        from repro.simulator.batch import (
-            StreamedSweepObservation,
-            simulate_streamed_sweep,
-        )
-
-        if path == "batch" or (path == "auto" and self.supports_sim_stream_plan):
-            return simulate_streamed_sweep(
-                self, sizes, config=device_config, chunks=chunks, pinned=pinned
-            )
-        results = [
-            self.observe_streamed(
-                int(n), config=device_config, chunks=chunks, seed=seed,
-                pinned=pinned,
-            )
-            for n in sizes
-        ]
-        return StreamedSweepObservation(
-            algorithm=self.name,
-            sizes=[int(n) for n in sizes],
-            makespans_s=[r.makespan_s for r in results],
-            serial_times_s=[r.serial_time_s for r in results],
+        sizes = self.default_sizes() if sizes is None else sizes
+        return simulate_streamed_sweep(
+            self, sizes, config=config, chunks=chunks, pinned=pinned
         )
 
     def observe_sharded_sweep(
@@ -615,46 +586,17 @@ class GPUAlgorithm(abc.ABC):
         config: Optional[DeviceConfig] = None,
         devices: int = 2,
         contention: float = 0.0,
-        seed: int = 0,
         pinned: bool = False,
         topology: Optional["Topology"] = None,
-        path: str = "auto",
-    ):
+    ) -> ShardedSweepObservation:
         """Sharded straggler makespan / serial time over a sweep of sizes.
 
-        ``"auto"`` replays the algorithm's :meth:`sim_shard_plan` through
-        the batched replay when one is implemented (bit-for-bit equal to
-        per-size :meth:`observe_sharded`); otherwise, and on
-        ``path="scalar"``, it runs the per-size loop.
+        Replays the algorithm's :meth:`sim_shard_plan` for every size as
+        one array program, bit-for-bit equal to per-size
+        :meth:`observe_sharded`.
         """
-        if path not in OBSERVE_PATHS:
-            raise ValueError(
-                f"unknown observe path {path!r}; expected one of {OBSERVE_PATHS}"
-            )
-        sizes = list(sizes) if sizes is not None else self.default_sizes()
-        device_config = config or DeviceConfig.gtx650()
-        from repro.simulator.batch import (
-            ShardedSweepObservation,
-            simulate_sharded_sweep,
-        )
-
-        if path == "batch" or (path == "auto" and self.supports_sim_shard_plan):
-            return simulate_sharded_sweep(
-                self, sizes, config=device_config, devices=devices,
-                contention=contention, pinned=pinned, topology=topology,
-            )
-        results = [
-            self.observe_sharded(
-                int(n), config=device_config, devices=devices,
-                contention=contention, seed=seed, pinned=pinned,
-                topology=topology,
-            )
-            for n in sizes
-        ]
-        return ShardedSweepObservation(
-            algorithm=self.name,
-            sizes=[int(n) for n in sizes],
-            makespans_s=[r.makespan_s for r in results],
-            serial_times_s=[r.serial_time_s for r in results],
-            device_count=results[0].device_count if results else devices,
+        sizes = self.default_sizes() if sizes is None else sizes
+        return simulate_sharded_sweep(
+            self, sizes, config=config, devices=devices,
+            contention=contention, pinned=pinned, topology=topology,
         )

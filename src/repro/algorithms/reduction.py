@@ -30,13 +30,11 @@ import numpy as np
 from repro.algorithms.base import (
     GPUAlgorithm,
     RunResult,
-    ShardedRunResult,
-    StreamedRunResult,
     chunk_bounds,
-    sharded_pool_bounds,
+    shard_bounds,
+    sharded_pool,
 )
 from repro.core.topology import Topology
-from repro.core.transfer import TransferDirection
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
@@ -59,11 +57,10 @@ from repro.pseudocode.ast_nodes import (
 )
 from repro.pseudocode.program import Program, Round
 from repro.pseudocode.variables import global_var, host_var, shared_var
+from repro.simulator.batch import ShardPlan, StreamPlan
 from repro.simulator.device import GPUDevice
-from repro.simulator.device_pool import DevicePool
 from repro.simulator.kernel import BlockContext, KernelProgram
 from repro.simulator.memory import DeviceArray
-from repro.simulator.streams import StreamOpKind, StreamTimeline
 from repro.simulator.timing import KernelTiming
 from repro.utils.numerics import ceil_div
 from repro.utils.validation import ensure_positive_int
@@ -340,18 +337,37 @@ class Reduction(GPUAlgorithm):
             device.free(name)
         return result
 
+    def schedule_outputs(
+        self, device: GPUDevice, inputs: Dict[str, np.ndarray]
+    ) -> Tuple[int, Dict[str, np.ndarray]]:
+        """Size and answer of a streamed or sharded run: the host sum."""
+        a = np.asarray(inputs["A"]).reshape(-1)
+        return a.size, {"Ans": np.array([a.sum()], dtype=a.dtype)}
+
+    # ------------------------------------------------------------------ #
+    # Streamed and sharded schedules
+    # ------------------------------------------------------------------ #
     def _timed_kernel(self, device: GPUDevice, kernel: ReductionRoundKernel):
         """Sampled-trace timing of one reduction kernel (no data movement)."""
         pairs, _ = device.functional_engine.execute_sampled(kernel)
         return device.timing_engine.kernel_timing(kernel.name, pairs)
 
-    def run_streamed(
-        self,
-        device: GPUDevice,
-        inputs: Dict[str, np.ndarray],
-        chunks: int = 2,
-        pinned: bool = False,
-    ) -> StreamedRunResult:
+    def _scratch_device(
+        self, n: int, config, partials: int
+    ) -> GPUDevice:
+        """A device holding ``a`` then ``partials``, as :meth:`run` does.
+
+        Coalesced-transaction counts depend on global-memory offsets, so
+        the kernels of a schedule are traced against this layout.
+        """
+        device = GPUDevice(config)
+        device.allocate("a", n, dtype=np.int64)
+        device.allocate("partials", max(1, partials), dtype=np.int64)
+        return device
+
+    def sim_stream_plan(
+        self, n, config, chunks: int = 2, pinned: bool = False
+    ) -> StreamPlan:
         """Chunked reduction with the input copies overlapped by first-level
         kernels.
 
@@ -362,157 +378,11 @@ class Reduction(GPUAlgorithm):
         stream that waits on every chunk, and the single-word answer is
         copied out.
         """
-        a = np.asarray(inputs["A"])
-        n = a.size
-        b = device.config.warp_width
-        bounds = chunk_bounds(n, chunks)
-        # Every chunk contributes ceil(m/b) partial sums; with many small
-        # chunks that exceeds the ceil(n/b) of the unchunked run.
-        total_partials = sum(ceil_div((hi - lo), b) for lo, hi in bounds)
-        device.reset_timers()
-        device.allocate("a", n, dtype=a.dtype).data[:] = a.reshape(-1)
-        device.allocate("partials", max(1, total_partials), dtype=a.dtype)
-        # Sampled trace blocks really execute (and the final tree writes its
-        # partial sums back into "a"), so take the answer before tracing.
-        answer = np.array([device.array("a").data[:n].sum()], dtype=a.dtype)
-
-        timeline = StreamTimeline()
-        chunk_kernel_ops = []
-        partials = 0
-        for index, (lo, hi) in enumerate(bounds):
-            m = hi - lo
-            stream = timeline.stream(f"chunk{index}")
-            record = device.transfer_engine.transfer(
-                m, TransferDirection.HOST_TO_DEVICE, pinned=pinned,
-                label=f"a[{lo}:{hi}]",
-            )
-            timeline.add_transfer(stream, record)
-            kernel = ReductionRoundKernel(m, b, src="a", dst="partials")
-            timing = self._timed_kernel(device, kernel)
-            chunk_kernel_ops.append(timeline.add_kernel(stream, timing))
-            partials += kernel.grid_size()
-        final = timeline.stream("final")
-        timeline.submit(
-            "final", StreamOpKind.HOST, device.config.sync_overhead_s,
-            name="chunk-level sync", wait=chunk_kernel_ops,
-        )
-        src, dst = "partials", "a"
-        if partials > 1:
-            for size in reduction_rounds(partials, b):
-                kernel = ReductionRoundKernel(size, b, src=src, dst=dst)
-                timeline.add_kernel(final, self._timed_kernel(device, kernel))
-                timeline.submit(
-                    final, StreamOpKind.HOST, device.config.sync_overhead_s,
-                    name=f"reduction level ({size} values)",
-                )
-                src, dst = dst, src
-        record = device.transfer_engine.transfer(
-            1, TransferDirection.DEVICE_TO_HOST, pinned=pinned, label="answer",
-        )
-        timeline.add_transfer(final, record)
-
-        for name in ("a", "partials"):
-            device.free(name)
-        return StreamedRunResult(
-            outputs={"Ans": answer},
-            chunk_count=min(chunks, n),
-            timeline=timeline,
-        )
-
-    def run_sharded(
-        self,
-        device: GPUDevice,
-        inputs: Dict[str, np.ndarray],
-        devices: int = 2,
-        contention: float = 0.0,
-        pinned: bool = False,
-        topology: Optional[Topology] = None,
-    ) -> ShardedRunResult:
-        """Reduction sharded across a multi-device pool.
-
-        Each device receives a contiguous shard of the input, runs the full
-        local reduction tree on it (one kernel + sync per level, exactly as
-        :meth:`run` does for the whole array), and returns its single-word
-        partial sum; the host adds the ``P`` partials.  The dominant H2D
-        copy shards ``P`` ways, so scaling follows the link model: near
-        linear on independent links, flat on a fully contended one.  With a
-        ``topology``, shard widths follow the per-device throughput weights
-        and each device's transfers stretch by its own socket's link
-        contention.
-        """
-        a = np.asarray(inputs["A"])
-        n = a.size
-        b = device.config.warp_width
-        device.reset_timers()
-        device.allocate("a", n, dtype=a.dtype).data[:] = a.reshape(-1)
-        device.allocate(
-            "partials", max(1, ceil_div(n, b)), dtype=a.dtype
-        )
-        # Sampled trace blocks really execute against the shared arrays, so
-        # take the answer before any tracing mutates them.
-        answer = np.array([device.array("a").data[:n].sum()], dtype=a.dtype)
-
-        pool, bounds = sharded_pool_bounds(
-            device, n, devices, contention, topology
-        )
-        # Equal-sized shards run identical kernel ladders; the timing is
-        # deterministic in the level size, so memoise it across devices.
-        timings: Dict[int, KernelTiming] = {}
-        for index, (lo, hi) in enumerate(bounds):
-            m = hi - lo
-            if m == 0:
-                continue
-            pool.add_transfer(
-                index, m, TransferDirection.HOST_TO_DEVICE,
-                pinned=pinned, label=f"a[{lo}:{hi}]",
-            )
-            src, dst = "a", "partials"
-            for size in reduction_rounds(m, b):
-                if size not in timings:
-                    kernel = ReductionRoundKernel(size, b, src=src, dst=dst)
-                    timings[size] = self._timed_kernel(device, kernel)
-                pool.add_kernel(index, timings[size])
-                pool.add_host(
-                    index, device.config.sync_overhead_s,
-                    name=f"reduction level ({size} values)",
-                )
-                src, dst = dst, src
-            pool.add_transfer(
-                index, 1, TransferDirection.DEVICE_TO_HOST,
-                pinned=pinned, label=f"partial[{index}]",
-            )
-
-        for name in ("a", "partials"):
-            device.free(name)
-        return ShardedRunResult(
-            outputs={"Ans": answer},
-            device_count=pool.num_devices,
-            pool=pool,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Batched-sweep plans (see repro.simulator.batch)
-    # ------------------------------------------------------------------ #
-    def _scratch_device(
-        self, n: int, config, partials: int
-    ) -> GPUDevice:
-        """A device with the same allocation layout as the scalar runs.
-
-        Coalesced-transaction counts depend on global-memory offsets, so
-        the plan hooks must allocate ``a`` then ``partials`` exactly as
-        :meth:`run_streamed` / :meth:`run_sharded` do.
-        """
-        device = GPUDevice(config)
-        device.allocate("a", n, dtype=np.int64)
-        device.allocate("partials", max(1, partials), dtype=np.int64)
-        return device
-
-    def sim_stream_plan(self, n, config, chunks: int = 2, pinned: bool = False):
-        from repro.simulator.batch import StreamPlan
-
         ensure_positive_int(n, "n")
         b = config.warp_width
         bounds = chunk_bounds(n, chunks)
+        # Every chunk contributes ceil(m/b) partial sums; with many small
+        # chunks that exceeds the ceil(n/b) of the unchunked run.
         total_partials = sum(ceil_div((hi - lo), b) for lo, hi in bounds)
         device = self._scratch_device(n, config, total_partials)
         plan = StreamPlan()
@@ -546,20 +416,30 @@ class Reduction(GPUAlgorithm):
         contention: float = 0.0,
         pinned: bool = False,
         topology: Optional[Topology] = None,
-    ):
-        from repro.simulator.batch import ShardPlan
+    ) -> ShardPlan:
+        """Reduction sharded across a multi-device pool.
 
+        Each device receives a contiguous shard of the input, runs the full
+        local reduction tree on it (one kernel + sync per level, exactly as
+        :meth:`run` does for the whole array), and returns its single-word
+        partial sum; the host adds the ``P`` partials.  The dominant H2D
+        copy shards ``P`` ways, so scaling follows the link model: near
+        linear on independent links, flat on a fully contended one.  With a
+        ``topology``, shard widths follow the per-device throughput weights
+        and each device's transfers stretch by its own socket's link
+        contention.
+        """
         ensure_positive_int(n, "n")
         b = config.warp_width
         device = self._scratch_device(n, config, ceil_div(n, b))
-        pool, bounds = sharded_pool_bounds(
-            device, n, devices, contention, topology
-        )
+        pool = sharded_pool(config, devices, contention, topology)
         plan = ShardPlan(
             [pool.device_stretch(i) for i in range(pool.num_devices)]
         )
+        # Equal-sized shards run identical kernel ladders; the timing is
+        # deterministic in the level size, so memoise it across devices.
         timings: Dict[int, KernelTiming] = {}
-        for index, (lo, hi) in enumerate(bounds):
+        for index, (lo, hi) in enumerate(shard_bounds(pool, n)):
             m = hi - lo
             if m == 0:
                 continue

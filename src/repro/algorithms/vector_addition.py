@@ -25,13 +25,11 @@ import numpy as np
 from repro.algorithms.base import (
     GPUAlgorithm,
     RunResult,
-    ShardedRunResult,
-    StreamedRunResult,
     chunk_bounds,
-    sharded_pool_bounds,
+    shard_bounds,
+    sharded_pool,
 )
 from repro.core.topology import Topology
-from repro.core.transfer import TransferDirection
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
@@ -51,11 +49,10 @@ from repro.pseudocode.ast_nodes import (
 )
 from repro.pseudocode.program import Program, Round
 from repro.pseudocode.variables import global_var, host_var, shared_var
+from repro.simulator.batch import ShardPlan, StreamPlan
 from repro.simulator.device import GPUDevice
-from repro.simulator.device_pool import DevicePool
 from repro.simulator.kernel import BlockContext, KernelProgram
 from repro.simulator.memory import DeviceArray
-from repro.simulator.streams import StreamOpKind, StreamTimeline
 from repro.simulator.timing import KernelTiming
 from repro.utils.numerics import ceil_div
 from repro.utils.validation import ensure_positive_int
@@ -261,156 +258,39 @@ class VectorAddition(GPUAlgorithm):
             device.free(name)
         return result
 
-    def run_streamed(
-        self,
-        device: GPUDevice,
-        inputs: Dict[str, np.ndarray],
-        chunks: int = 2,
-        pinned: bool = False,
-    ) -> StreamedRunResult:
-        """Chunked vector addition with compute/copy overlap.
+    def schedule_outputs(
+        self, device: GPUDevice, inputs: Dict[str, np.ndarray]
+    ) -> Tuple[int, Dict[str, np.ndarray]]:
+        """Size and ``C`` of a streamed or sharded run.
 
-        Each chunk gets its own stream carrying ``H2D a``, ``H2D b``, the
-        chunk's kernel and ``D2H c``; the stream timeline's copy and compute
-        engines overlap chunk ``i``'s kernel with chunk ``i+1``'s copies
-        (classic double buffering — the workload is copy-bound, so most of
-        the kernel time hides entirely).  Durations come from the device's
-        own transfer and timing engines, so the serial sum of the scheduled
-        operations matches what :meth:`run` would charge for the same
-        chunked operations executed back to back.
+        ``C`` comes from the kernel's vectorised result over the full
+        arrays on ``device``; the chunked or sharded schedule only times it.
         """
         a = np.asarray(inputs["A"])
         b = np.asarray(inputs["B"])
         if a.shape != b.shape:
             raise ValueError("A and B must have the same length")
         n = a.size
-        device.reset_timers()
         device.allocate("a", n, dtype=a.dtype).data[:] = a.reshape(-1)
         device.allocate("b", n, dtype=b.dtype).data[:] = b.reshape(-1)
         device.allocate("c", n, dtype=a.dtype)
-
-        timeline = StreamTimeline()
-        d2h_ops = []
-        for index, (lo, hi) in enumerate(chunk_bounds(n, chunks)):
-            m = hi - lo
-            stream = timeline.stream(f"chunk{index}")
-            for name in ("a", "b"):
-                record = device.transfer_engine.transfer(
-                    m, TransferDirection.HOST_TO_DEVICE, pinned=pinned,
-                    label=f"{name}[{lo}:{hi}]",
-                )
-                timeline.add_transfer(stream, record)
-            kernel = VectorAdditionKernel(m, device.config.warp_width)
-            pairs, _ = device.functional_engine.execute_sampled(kernel)
-            timing = device.timing_engine.kernel_timing(kernel.name, pairs)
-            timeline.add_kernel(stream, timing)
-            record = device.transfer_engine.transfer(
-                m, TransferDirection.DEVICE_TO_HOST, pinned=pinned,
-                label=f"c[{lo}:{hi}]",
-            )
-            d2h_ops.append(timeline.add_transfer(stream, record))
-        timeline.submit(
-            "host", StreamOpKind.HOST, device.config.sync_overhead_s,
-            name="round sync", wait=d2h_ops,
-        )
-
         arrays = {name: device.array(name) for name in ("a", "b", "c")}
         VectorAdditionKernel(n, device.config.warp_width).vectorised_result(arrays)
         c = device.array("c").to_host()
         for name in ("a", "b", "c"):
             device.free(name)
-        return StreamedRunResult(
-            outputs={"C": c},
-            chunk_count=min(chunks, n),
-            timeline=timeline,
-        )
-
-    def run_sharded(
-        self,
-        device: GPUDevice,
-        inputs: Dict[str, np.ndarray],
-        devices: int = 2,
-        contention: float = 0.0,
-        pinned: bool = False,
-        topology: Optional[Topology] = None,
-    ) -> ShardedRunResult:
-        """Vector addition sharded across a multi-device pool.
-
-        Each device receives a contiguous shard of ``A``/``B``, adds it with
-        its own kernel, and returns its shard of ``C``; the pool's makespan
-        is the straggler device's completion.  The problem is embarrassingly
-        parallel, so with independent links (``contention=0``) the makespan
-        shrinks nearly linearly in the device count; on a fully shared link
-        (``contention=1``) the copy-bound workload stops scaling — exactly
-        the regime the :class:`~repro.core.sharding.ShardedCostModel`
-        prices.  With a ``topology``, shard widths follow the per-device
-        throughput weights and each device's transfers stretch by its own
-        socket's link contention.  ``device`` supplies the per-device
-        configuration and the functional/timing engines; data results come
-        from the vectorised kernel over the full arrays.
-        """
-        a = np.asarray(inputs["A"])
-        b = np.asarray(inputs["B"])
-        if a.shape != b.shape:
-            raise ValueError("A and B must have the same length")
-        n = a.size
-        device.reset_timers()
-        device.allocate("a", n, dtype=a.dtype).data[:] = a.reshape(-1)
-        device.allocate("b", n, dtype=b.dtype).data[:] = b.reshape(-1)
-        device.allocate("c", n, dtype=a.dtype)
-
-        pool, bounds = sharded_pool_bounds(
-            device, n, devices, contention, topology
-        )
-        # Shard sizes take few distinct values, so memoise the
-        # (deterministic, size-only) kernel timing instead of re-simulating
-        # per device.
-        timings: Dict[int, KernelTiming] = {}
-        for index, (lo, hi) in enumerate(bounds):
-            m = hi - lo
-            if m == 0:
-                continue
-            for name in ("a", "b"):
-                pool.add_transfer(
-                    index, m, TransferDirection.HOST_TO_DEVICE,
-                    pinned=pinned, label=f"{name}[{lo}:{hi}]",
-                )
-            if m not in timings:
-                kernel = VectorAdditionKernel(m, device.config.warp_width)
-                pairs, _ = device.functional_engine.execute_sampled(kernel)
-                timings[m] = device.timing_engine.kernel_timing(
-                    kernel.name, pairs
-                )
-            pool.add_kernel(index, timings[m])
-            pool.add_transfer(
-                index, m, TransferDirection.DEVICE_TO_HOST,
-                pinned=pinned, label=f"c[{lo}:{hi}]",
-            )
-            pool.add_host(
-                index, device.config.sync_overhead_s, name="device sync",
-            )
-
-        arrays = {name: device.array(name) for name in ("a", "b", "c")}
-        VectorAdditionKernel(n, device.config.warp_width).vectorised_result(arrays)
-        c = device.array("c").to_host()
-        for name in ("a", "b", "c"):
-            device.free(name)
-        return ShardedRunResult(
-            outputs={"C": c},
-            device_count=pool.num_devices,
-            pool=pool,
-        )
+        return n, {"C": c}
 
     # ------------------------------------------------------------------ #
-    # Batched-simulator plans
+    # Streamed and sharded schedules
     # ------------------------------------------------------------------ #
     def _scratch_device(self, n: int, config) -> GPUDevice:
-        """A device with :meth:`run_streamed`'s exact allocation layout.
+        """A device with the full-length ``a``/``b``/``c`` layout.
 
         Coalescing transaction counts depend on each array's base offset in
-        global memory, so the scratch device allocates ``a``/``b``/``c`` at
-        full length in the same order as the scalar paths before any kernel
-        is traced.
+        global memory, so the chunk and shard kernels are traced against
+        ``a``/``b``/``c`` allocated at full length, in that order, as
+        :meth:`run` allocates them.
         """
         device = GPUDevice(config)
         for name in ("a", "b", "c"):
@@ -419,10 +299,16 @@ class VectorAddition(GPUAlgorithm):
 
     def sim_stream_plan(
         self, n: int, config, chunks: int = 2, pinned: bool = False
-    ):
-        """Symbolic twin of :meth:`run_streamed`'s stream schedule."""
-        from repro.simulator.batch import StreamPlan
+    ) -> StreamPlan:
+        """Chunked vector addition with compute/copy overlap.
 
+        Each chunk gets its own stream carrying ``H2D a``, ``H2D b``, the
+        chunk's kernel and ``D2H c``; the copy and compute engines overlap
+        chunk ``i``'s kernel with chunk ``i+1``'s copies (classic double
+        buffering — the workload is copy-bound, so most of the kernel time
+        hides entirely).  A host sync on its own stream waits for every
+        ``D2H``.
+        """
         ensure_positive_int(n, "n")
         device = self._scratch_device(n, config)
         plan = StreamPlan()
@@ -448,20 +334,32 @@ class VectorAddition(GPUAlgorithm):
         contention: float = 0.0,
         pinned: bool = False,
         topology: Optional[Topology] = None,
-    ):
-        """Symbolic twin of :meth:`run_sharded`'s device-pool schedule."""
-        from repro.simulator.batch import ShardPlan
+    ) -> ShardPlan:
+        """Vector addition sharded across a multi-device pool.
 
+        Each device receives a contiguous shard of ``A``/``B``, adds it with
+        its own kernel, returns its shard of ``C`` and syncs; the pool's
+        makespan is the straggler device's completion.  The problem is
+        embarrassingly parallel, so with independent links
+        (``contention=0``) the makespan shrinks nearly linearly in the
+        device count; on a fully shared link (``contention=1``) the
+        copy-bound workload stops scaling — exactly the regime the
+        :class:`~repro.core.sharding.ShardedCostModel` prices.  With a
+        ``topology``, shard widths follow the per-device throughput
+        weights and each device's transfers stretch by its own socket's
+        link contention.
+        """
         ensure_positive_int(n, "n")
         device = self._scratch_device(n, config)
-        pool, bounds = sharded_pool_bounds(
-            device, n, devices, contention, topology
-        )
+        pool = sharded_pool(config, devices, contention, topology)
         plan = ShardPlan(
             [pool.device_stretch(i) for i in range(pool.num_devices)]
         )
+        # Shard sizes take few distinct values, so memoise the
+        # (deterministic, size-only) kernel timing instead of re-simulating
+        # per device.
         timings: Dict[int, KernelTiming] = {}
-        for index, (lo, hi) in enumerate(bounds):
+        for index, (lo, hi) in enumerate(shard_bounds(pool, n)):
             m = hi - lo
             if m == 0:
                 continue

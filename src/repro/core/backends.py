@@ -201,18 +201,6 @@ def backend_supports_batch(backend: CostModel) -> bool:
     )
 
 
-def all_backends_support_batch(names: Sequence[str]) -> bool:
-    """Whether every named registered backend has a batch evaluator.
-
-    Unknown names yield ``False`` so callers route through the scalar path,
-    which raises its usual descriptive :class:`KeyError`.
-    """
-    try:
-        return all(backend_supports_batch(get_backend(name)) for name in names)
-    except KeyError:
-        return False
-
-
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #

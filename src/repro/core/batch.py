@@ -46,7 +46,12 @@ import numpy as np
 
 from repro.core.cost import CostParameters
 from repro.core.machine import ATGPUMachine
-from repro.core.metrics import AlgorithmMetrics, CapacityError, MetricsGrid
+from repro.core.metrics import (
+    AlgorithmMetrics,
+    CapacityError,
+    MetricsGrid,
+    validate_sizes,
+)
 from repro.core.occupancy import OccupancyModel
 from repro.core.topology import contended_streaming
 from repro.utils.numerics import ceil_div
@@ -198,9 +203,7 @@ class MetricsBatch:
         :class:`~repro.core.metrics.RoundMetrics` objects.  ``metrics_factory``
         is the scalar path, invoked once per size.  Exactly one must be given.
         """
-        if not sizes:
-            raise ValueError("a metrics batch needs at least one input size")
-        sizes = [int(n) for n in sizes]
+        sizes = list(validate_sizes(sizes))
         if grid_factory is not None:
             if metrics_factory is not None:
                 raise ValueError(

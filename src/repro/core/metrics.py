@@ -258,18 +258,29 @@ class CapacityError(RuntimeError):
 # --------------------------------------------------------------------- #
 # Array-native metrics (whole-sweep description)
 # --------------------------------------------------------------------- #
-def size_vector(ns: Sequence[int], name: str = "n") -> np.ndarray:
-    """Validate a sweep's input sizes and return them as an int64 column.
+def validate_sizes(ns: Sequence[int], name: str = "n") -> Tuple[int, ...]:
+    """Validate a sweep's input sizes and return them as a tuple of ints.
 
-    The array-native factories use this where their scalar twins use
-    ``ensure_positive_int`` per size, so both paths reject non-positive
-    sizes with the same message.
+    Every sweep boundary (``ExperimentSpec``, ``MetricsBatch.compile``, the
+    batched simulator and, through :func:`size_vector`, the array-native
+    metrics factories) routes its sizes through this, so each size follows
+    ``ensure_positive_int``: NumPy integers pass as ``int``; floats,
+    strings and bools raise :class:`TypeError`; non-positive sizes raise
+    :class:`ValueError`, as does an empty sweep.  A sweep of positive
+    exact ``int`` values is returned as is, without per-size calls.
     """
-    sizes = np.asarray([int(n) for n in ns], dtype=np.int64)
-    if sizes.size and np.any(sizes <= 0):
-        bad = int(sizes[sizes <= 0][0])
-        raise ValueError(f"{name} must be a positive integer, got {bad!r}")
+    sizes = tuple(ns)
+    if not sizes:
+        raise ValueError("a sweep needs at least one input size")
+    if not all(type(n) is int and n > 0 for n in sizes):
+        sizes = tuple(ensure_positive_int(n, name) for n in sizes)
     return sizes
+
+
+def size_vector(ns: Sequence[int], name: str = "n") -> np.ndarray:
+    """Validate a sweep's input sizes (:func:`validate_sizes`) and return
+    them as an int64 column."""
+    return np.asarray(validate_sizes(ns, name), dtype=np.int64)
 
 
 def _as_column(value, n_sizes: int, name: str, dtype) -> np.ndarray:

@@ -22,10 +22,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.analysis import AnalysisReport, analyse_metrics
 from repro.core.backends import (
     DEFAULT_BACKENDS,
-    all_backends_support_batch,
     backend_label,
     evaluate_backends_batch,
 )
@@ -52,35 +50,28 @@ class SweepPrediction:
 
     A prediction carries one cost series per backend name plus the predicted
     transfer proportions ``ΔT``.  It is normally built by
-    :func:`predict_sweep`: the default vectorized path fills every series
-    (including :attr:`transfers` / :attr:`kernels`) from one batch
-    evaluation, while the scalar path additionally attaches the per-size
-    :class:`~repro.core.analysis.AnalysisReport` objects.  It can equally be
-    reconstructed from stored series alone — e.g. when a cached
+    :func:`predict_sweep`, which fills every series (including
+    :attr:`transfers` / :attr:`kernels`) from one batch evaluation.  It can
+    equally be reconstructed from stored series alone — e.g. when a cached
     :class:`~repro.experiments.results.Result` is loaded from disk — in
-    which case the report-only accessors raise a clear error.
+    which case the accessors of series it lacks raise a clear error.
+    Per-size :class:`~repro.core.analysis.AnalysisReport` objects come from
+    ``GPUAlgorithm.analyse(n)``.
     """
 
     algorithm: str
     sizes: List[int]
-    reports: List[AnalysisReport] = field(default_factory=list)
     series: Dict[str, np.ndarray] = field(default_factory=dict)
     proportions: Optional[Sequence[float]] = None
-    #: Predicted transfer / kernel cost per size.  Populated by the batch
-    #: path (which builds no per-size reports); the report-based accessors
-    #: are used when absent.
+    #: Predicted transfer / kernel cost per size.
     transfers: Optional[Sequence[float]] = None
     kernels: Optional[Sequence[float]] = None
 
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("a sweep needs at least one input size")
-        if self.reports and len(self.sizes) != len(self.reports):
-            raise ValueError("sizes and reports must have the same length")
-        if not self.reports and not self.series:
-            raise ValueError(
-                "a prediction needs analysis reports or precomputed series"
-            )
+        if not self.series:
+            raise ValueError("a prediction needs precomputed series")
         for name, values in self.series.items():
             if len(values) != len(self.sizes):
                 raise ValueError(
@@ -99,36 +90,27 @@ class SweepPrediction:
     # Generic per-backend access
     # ------------------------------------------------------------------ #
     def backend_names(self) -> Tuple[str, ...]:
-        """Backends this prediction can produce a cost series for."""
-        names = list(self.series)
-        if self.reports:
-            for name in ("atgpu", "swgpu", "perfect"):
-                if name not in names:
-                    names.append(name)
-            for name in self.reports[0].backend_costs:
-                if name not in names:
-                    names.append(name)
-        return tuple(names)
+        """Backends this prediction carries a cost series for."""
+        return tuple(self.series)
 
     def series_for(self, backend: str) -> np.ndarray:
         """Cost per size under a named backend."""
         if backend in self.series:
             return np.asarray(self.series[backend], dtype=float)
-        if self.reports:
-            return np.array(
-                [r.backend_cost(backend) for r in self.reports], dtype=float
-            )
         known = ", ".join(self.backend_names())
         raise KeyError(
             f"no cost series for backend {backend!r}; available: {known}"
         )
 
-    def _require_reports(self, what: str) -> None:
-        if not self.reports:
+    @staticmethod
+    def _required(values: Optional[Sequence[float]], what: str) -> np.ndarray:
+        if values is None:
             raise ValueError(
-                f"{what} requires per-size analysis reports; this prediction "
-                "only carries precomputed backend series"
+                f"{what} is not stored in this prediction, which only "
+                "carries backend series; per-size analysis reports come "
+                "from analyse(n)"
             )
+        return np.asarray(values, dtype=float)
 
     # ------------------------------------------------------------------ #
     # Series accessors (the curves of Figures 3a/4a/5a and 6)
@@ -151,27 +133,18 @@ class SweepPrediction:
     @property
     def transfer_costs(self) -> np.ndarray:
         """Predicted transfer cost per size."""
-        if self.transfers is not None:
-            return np.asarray(self.transfers, dtype=float)
-        self._require_reports("transfer_costs")
-        return np.array([r.transfer_cost for r in self.reports], dtype=float)
+        return self._required(self.transfers, "transfer_costs")
 
     @property
     def kernel_costs(self) -> np.ndarray:
         """Predicted kernel-side cost per size."""
-        if self.kernels is not None:
-            return np.asarray(self.kernels, dtype=float)
-        self._require_reports("kernel_costs")
-        return np.array([r.kernel_cost for r in self.reports], dtype=float)
+        return self._required(self.kernels, "kernel_costs")
 
     @property
     def predicted_transfer_proportions(self) -> np.ndarray:
         """``ΔT`` per size (the "Predicted" curve of Figure 6)."""
-        if self.proportions is not None:
-            return np.asarray(self.proportions, dtype=float)
-        self._require_reports("predicted_transfer_proportions")
-        return np.array(
-            [r.predicted_transfer_proportion for r in self.reports], dtype=float
+        return self._required(
+            self.proportions, "predicted_transfer_proportions"
         )
 
     def normalised(self, backends: Optional[Sequence[str]] = None
@@ -210,7 +183,6 @@ class SweepPrediction:
         return SweepPrediction(
             algorithm=self.algorithm,
             sizes=[self.sizes[i] for i in idx],
-            reports=[self.reports[i] for i in idx] if self.reports else [],
             series={
                 name: np.asarray(values, dtype=float)[cols]
                 for name, values in self.series.items()
@@ -283,10 +255,6 @@ class SweepObservation:
         }
 
 
-#: The paths :func:`predict_sweep` can take over a sweep.
-SWEEP_PATHS: Tuple[str, ...] = ("auto", "batch", "scalar")
-
-
 def predict_sweep_batch(
     algorithm: str,
     batch: MetricsBatch,
@@ -301,9 +269,7 @@ def predict_sweep_batch(
     family prices the whole sweep as one array program (custom backends
     without a batch evaluator fall back to one scalar call per size), and
     the transfer / kernel / ``ΔT`` series come from one vectorized ATGPU
-    breakdown.  The resulting prediction carries no per-size analysis
-    reports — every series accessor is served from the precomputed arrays,
-    bit-for-bit equal to what the scalar path produces.
+    breakdown, bit-for-bit equal to per-size ``analyse``.
     """
     names = tuple(backends) if backends is not None else DEFAULT_BACKENDS
     batch.validate_against(machine)
@@ -344,73 +310,29 @@ def predict_sweep_batch(
 def predict_sweep(
     algorithm: str,
     sizes: Sequence[int],
-    metrics_factory: MetricsFactory,
+    metrics_factory: Optional[MetricsFactory],
     machine: ATGPUMachine,
     parameters: CostParameters,
     occupancy: OccupancyModel,
     backends: Optional[Sequence[str]] = None,
-    path: str = "auto",
     grid_factory: Optional[GridMetricsFactory] = None,
 ) -> SweepPrediction:
     """Evaluate the requested cost-model backends over a sweep of sizes.
 
     ``backends`` defaults to :data:`repro.core.backends.DEFAULT_BACKENDS`.
-
-    ``path`` selects the evaluation strategy:
-
-    * ``"auto"`` (default) — vectorized batch evaluation when every
-      requested backend supports it (all built-ins do), otherwise the
-      scalar per-size path.  Both produce identical series.
-    * ``"batch"`` — force the vectorized path; backends without a batch
-      evaluator fall back to scalar calls per size inside it.
-    * ``"scalar"`` — force the original per-size path, which additionally
-      attaches the per-size :class:`~repro.core.analysis.AnalysisReport`
-      objects (useful for per-round introspection).
-
-    ``grid_factory`` optionally supplies the array-native metrics factory
-    (whole size list in, one :class:`~repro.core.metrics.MetricsGrid` out);
-    the batch path then compiles without constructing any per-size
-    :class:`~repro.core.metrics.RoundMetrics` objects.  The scalar path
-    always uses ``metrics_factory``.
+    The sweep's metrics are compiled into one
+    :class:`~repro.core.batch.MetricsBatch` — through ``grid_factory`` (the
+    array-native factory: whole size list in, one
+    :class:`~repro.core.metrics.MetricsGrid` out) or ``metrics_factory``
+    (one :class:`~repro.core.metrics.AlgorithmMetrics` per size); exactly
+    one must be given — and priced by :func:`predict_sweep_batch`.
     """
-    if not sizes:
-        raise ValueError("sizes must not be empty")
-    if path not in SWEEP_PATHS:
-        raise ValueError(
-            f"path must be one of {', '.join(SWEEP_PATHS)}; got {path!r}"
-        )
+    batch = MetricsBatch.compile(
+        algorithm, sizes, metrics_factory, grid_factory=grid_factory
+    )
     names = tuple(backends) if backends is not None else DEFAULT_BACKENDS
-    if path == "batch" or (path == "auto" and all_backends_support_batch(names)):
-        if grid_factory is not None:
-            batch = MetricsBatch.compile(
-                algorithm, sizes, grid_factory=grid_factory
-            )
-        else:
-            batch = MetricsBatch.compile(algorithm, sizes, metrics_factory)
-        return predict_sweep_batch(
-            algorithm, batch, machine, parameters, occupancy, backends=names
-        )
-    reports = [
-        analyse_metrics(
-            metrics_factory(int(n)),
-            machine,
-            parameters,
-            occupancy,
-            algorithm=algorithm,
-            input_size=int(n),
-            backends=names,
-        )
-        for n in sizes
-    ]
-    series = {
-        name: np.array([r.backend_cost(name) for r in reports], dtype=float)
-        for name in names
-    }
-    return SweepPrediction(
-        algorithm=algorithm,
-        sizes=[int(n) for n in sizes],
-        reports=reports,
-        series=series,
+    return predict_sweep_batch(
+        algorithm, batch, machine, parameters, occupancy, backends=names
     )
 
 

@@ -1,8 +1,8 @@
 """The experiment layer: declarative specs, sessions, figures and tables.
 
-The modern entry point is the :class:`Session` façade executing
+The entry point is the :class:`Session` façade executing
 :class:`ExperimentSpec` objects into :class:`Result` / :class:`ResultSet`
-objects; :class:`ExperimentRunner` remains as a deprecation shim over it.
+objects.
 """
 
 from repro.experiments.figures import (
@@ -28,7 +28,6 @@ from repro.experiments.results import (
     as_comparison,
     as_comparisons,
 )
-from repro.experiments.runner import ExperimentRunner
 from repro.experiments.session import (
     ENGINES,
     BatchCache,
@@ -79,7 +78,6 @@ __all__ = [
     "ResultSet",
     "as_comparison",
     "as_comparisons",
-    "ExperimentRunner",
     "ENGINES",
     "BatchCache",
     "EngineError",

@@ -122,9 +122,9 @@ class Result:
     def comparison(self) -> PredictionComparison:
         """The prediction-vs-observation comparison (memoised).
 
-        Results fresh from an execution keep the original comparison with
-        its per-size analysis reports; results deserialised from JSON
-        rebuild an equivalent comparison from the stored series.
+        Results fresh from an execution keep the original comparison;
+        results deserialised from JSON rebuild an equivalent comparison
+        from the stored series.
         """
         if self._comparison is None:
             prediction = SweepPrediction(

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.algorithms.base import GPUAlgorithm
 from repro.algorithms.registry import create
-from repro.core.backends import all_backends_support_batch
 from repro.core.batch import MetricsBatch
 from repro.core.prediction import SweepPrediction, predict_sweep_batch
 from repro.experiments.results import Result, ResultSet
@@ -257,8 +256,7 @@ def predict_group(
     **one** backend evaluation per distinct ``(preset, backends)`` cluster;
     each spec's prediction is scattered back out by selecting its size
     columns (:meth:`~repro.core.prediction.SweepPrediction.select`),
-    bit-for-bit equal to evaluating that spec alone.  Specs whose backends
-    lack batch support keep the per-spec scalar path (reports included).
+    bit-for-bit equal to evaluating that spec alone.
 
     A :class:`BatchCache` (when supplied) memoizes the compiled batch
     (keyed by machine, so equal-machine presets share entries) and the
@@ -285,13 +283,7 @@ def predict_group(
     machine = preset_for[0].machine
     sizes_for = [spec.resolved_sizes(algorithm) for spec in specs]
     resolved_for = [spec.resolved_backends() for spec in specs]
-    batchable = [
-        all_backends_support_batch(resolved) for resolved in resolved_for
-    ]
-    union = sorted({
-        n for index, ok in enumerate(batchable) if ok
-        for n in sizes_for[index]
-    })
+    union = sorted({n for sizes in sizes_for for n in sizes})
     column = {n: j for j, n in enumerate(union)}
     batch: Optional[MetricsBatch] = None
 
@@ -313,20 +305,11 @@ def predict_group(
         return batch
 
     shared: Dict[tuple, SweepPrediction] = {}
-    predictions: List[Optional[SweepPrediction]] = [None] * len(specs)
+    predictions: List[SweepPrediction] = []
     for index, spec in enumerate(specs):
         sizes = sizes_for[index]
         resolved = resolved_for[index]
         preset = preset_for[index]
-        if not batchable[index]:
-            predictions[index] = _rename_series(
-                algorithm.predict_sweep(
-                    sizes, preset=preset, backends=resolved
-                ),
-                spec.backends,
-                resolved,
-            )
-            continue
         cluster = (spec.preset, resolved)
         union_prediction = shared.get(cluster)
         if union_prediction is None:
@@ -354,10 +337,10 @@ def predict_group(
             prediction = union_prediction.select(
                 [column[n] for n in sizes]
             )
-        predictions[index] = _rename_series(
-            prediction, spec.backends, resolved
+        predictions.append(
+            _rename_series(prediction, spec.backends, resolved)
         )
-    return [p for p in predictions if p is not None]
+    return predictions
 
 
 def execute_group(
@@ -559,13 +542,10 @@ class ProcessPoolEngine:
         """
         results = self.map(specs)
         for spec, result in zip(specs, results):
-            resolved = spec.resolved_backends()
-            if not all_backends_support_batch(resolved):
-                continue
             batch_cache.seed_prediction(
                 (
                     spec.algorithm, spec.preset, tuple(result.sizes),
-                    resolved, spec.topology_key(),
+                    spec.resolved_backends(), spec.topology_key(),
                 ),
                 result.comparison().prediction,
             )

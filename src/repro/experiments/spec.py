@@ -25,6 +25,7 @@ from repro.core.backends import (
     TOPOLOGY_BACKEND,
     ensure_topology_backend,
 )
+from repro.core.metrics import validate_sizes
 from repro.core.presets import DEFAULT_PRESET, GPUPreset, get_preset
 from repro.core.topology import Topology
 from repro.simulator.config import DeviceConfig
@@ -87,12 +88,9 @@ class ExperimentSpec:
                 f"scale must be one of {', '.join(SCALES)}; got {self.scale!r}"
             )
         if self.sizes is not None:
-            sizes = tuple(int(n) for n in self.sizes)
-            if not sizes:
-                raise ValueError("sizes must not be empty when given")
-            if any(n <= 0 for n in sizes):
-                raise ValueError("sweep sizes must be positive")
-            object.__setattr__(self, "sizes", sizes)
+            object.__setattr__(
+                self, "sizes", validate_sizes(self.sizes, "sizes")
+            )
         backends = tuple(str(name) for name in self.backends)
         if not backends:
             raise ValueError("an experiment spec needs at least one backend")

@@ -25,32 +25,44 @@ This module packs a sweep into *array programs*, the way
    **bit-for-bit** equal to the scalar ``observe`` at that size (same
    ``ceil_div`` discipline, same float operand order).
 
-Streamed and sharded sweeps follow the same pattern via
+Streamed and sharded schedules follow the same pattern via
 :class:`StreamPlan` / :class:`ShardPlan`: a per-size symbolic schedule
-built by the algorithm's ``sim_stream_plan`` / ``sim_shard_plan`` hooks,
-replayed here with ``np.maximum`` folds that mirror
+built by the algorithm's ``sim_stream_plan`` / ``sim_shard_plan`` hooks —
+the only place an algorithm writes those schedules.  Sweeps replay the
+plans here with ``np.maximum`` folds that mirror
 :meth:`~repro.simulator.streams.StreamTimeline.submit` and the
-:class:`~repro.simulator.device_pool.DevicePool` contention formula.
+:class:`~repro.simulator.device_pool.DevicePool` contention formula;
+single runs (``run_streamed`` / ``run_sharded``) play one plan back onto a
+real :class:`~repro.simulator.streams.StreamTimeline` or
+:class:`~repro.simulator.device_pool.DevicePool` through
+:func:`play_stream_plan` / :func:`play_shard_plan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.metrics import validate_sizes
 from repro.core.prediction import SweepObservation
 from repro.core.transfer import TransferDirection
 from repro.simulator.config import DeviceConfig
 from repro.simulator.device import GPUDevice
-from repro.simulator.device_pool import contended_duration_grid
+from repro.simulator.device_pool import DevicePool, contended_duration_grid
 from repro.simulator.errors import LaunchError
 from repro.simulator.kernel import KernelProgram
-from repro.simulator.streams import ENGINE_FOR_KIND, StreamOpKind
+from repro.simulator.streams import ENGINE_FOR_KIND, StreamOpKind, StreamTimeline
 from repro.simulator.timing import KernelTiming, kernel_timing_grid
 from repro.simulator.trace import KernelCounters
-from repro.simulator.transfer_engine import duration_grid
+from repro.simulator.transfer_engine import TransferEngine, duration_grid
+
+#: Transfer direction of each copy kind of a plan operation.
+_COPY_DIRECTION = {
+    StreamOpKind.H2D: TransferDirection.HOST_TO_DEVICE,
+    StreamOpKind.D2H: TransferDirection.DEVICE_TO_HOST,
+}
 
 
 # ---------------------------------------------------------------------- #
@@ -305,17 +317,18 @@ def simulate_sweep(
     recorded programs in a handful of NumPy passes.  Requires a parity test
     in ``tests/test_sim_batch.py`` (enforced by the ``SIM001`` lint rule).
     """
+    sizes = list(validate_sizes(sizes))
     device_config = config or DeviceConfig.gtx650()
     data_dependent = getattr(algorithm, "sim_trace_data_dependent", True)
     programs: List[List[object]] = []
     for n in sizes:
         device = ProbeDevice(device_config, data_dependent=data_dependent)
-        algorithm.run(device, algorithm.sim_inputs(int(n), seed=seed))
+        algorithm.run(device, algorithm.sim_inputs(n, seed=seed))
         programs.append(device.ops)
     totals, kernels, transfers = _evaluate_programs(programs, device_config)
     return SweepObservation(
         algorithm=algorithm.name,
-        sizes=[int(n) for n in sizes],
+        sizes=sizes,
         total_times=[float(t) for t in totals],
         kernel_times=[float(t) for t in kernels],
         transfer_times=[float(t) for t in transfers],
@@ -335,6 +348,10 @@ class StreamPlanOp:
     pinned: bool = False
     duration_s: float = 0.0
     wait: Tuple[int, ...] = ()
+    #: The launch's timing (kernel ops only), kept for playback.
+    timing: Optional[KernelTiming] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 class StreamPlan:
@@ -376,7 +393,7 @@ class StreamPlan:
         """Queue a kernel launch with a concrete timing; returns its index."""
         return self._add(StreamPlanOp(
             StreamOpKind.KERNEL, stream, duration_s=float(timing.total_time_s),
-            wait=tuple(wait),
+            wait=tuple(wait), timing=timing,
         ))
 
     def host(self, stream: str, duration_s: float,
@@ -430,13 +447,8 @@ def replay_stream_plans(
                 words = np.array(
                     [plans[c].ops[slot].words for c in columns], dtype=np.int64
                 )
-                direction = (
-                    TransferDirection.HOST_TO_DEVICE
-                    if op.kind is StreamOpKind.H2D
-                    else TransferDirection.DEVICE_TO_HOST
-                )
                 duration = duration_grid(
-                    config, words, direction, pinned=op.pinned
+                    config, words, _COPY_DIRECTION[op.kind], pinned=op.pinned
                 )
             else:
                 duration = np.array(
@@ -458,6 +470,35 @@ def replay_stream_plans(
         makespans[columns] = makespan
         serials[columns] = serial
     return makespans, serials
+
+
+def play_stream_plan(plan: StreamPlan, config: DeviceConfig) -> StreamTimeline:
+    """Play one stream plan back onto a real :class:`StreamTimeline`.
+
+    The single-size counterpart of :func:`replay_stream_plans`: each op is
+    submitted in plan order with its own stream and awaited ops, transfers
+    priced by a :class:`TransferEngine` and kernels by their recorded
+    timings, so the timeline's makespan and serial sum equal the replayed
+    column for that size.
+    """
+    engine = TransferEngine(config)
+    timeline = StreamTimeline(dual_copy_engines=plan.dual_copy_engines)
+    submitted = []
+    for op in plan.ops:
+        wait = [submitted[index] for index in op.wait]
+        if op.kind is StreamOpKind.KERNEL:
+            scheduled = timeline.add_kernel(op.stream, op.timing, wait=wait)
+        elif op.kind is StreamOpKind.HOST:
+            scheduled = timeline.submit(
+                op.stream, op.kind, op.duration_s, wait=wait
+            )
+        else:
+            record = engine.transfer(
+                op.words, _COPY_DIRECTION[op.kind], pinned=op.pinned
+            )
+            scheduled = timeline.add_transfer(op.stream, record, wait=wait)
+        submitted.append(scheduled)
+    return timeline
 
 
 @dataclass(frozen=True)
@@ -486,17 +527,16 @@ def simulate_streamed_sweep(
     pinned: bool = False,
 ) -> StreamedSweepObservation:
     """Batched twin of per-size ``observe_streamed`` (bit-for-bit parity)."""
+    sizes = list(validate_sizes(sizes))
     device_config = config or DeviceConfig.gtx650()
     plans = [
-        algorithm.sim_stream_plan(
-            int(n), device_config, chunks=chunks, pinned=pinned
-        )
+        algorithm.sim_stream_plan(n, device_config, chunks=chunks, pinned=pinned)
         for n in sizes
     ]
     makespans, serials = replay_stream_plans(plans, device_config)
     return StreamedSweepObservation(
         algorithm=algorithm.name,
-        sizes=[int(n) for n in sizes],
+        sizes=sizes,
         makespans_s=[float(t) for t in makespans],
         serial_times_s=[float(t) for t in serials],
     )
@@ -514,6 +554,10 @@ class ShardPlanOp:
     words: int = 0
     pinned: bool = False
     duration_s: float = 0.0
+    #: The launch's timing (kernel ops only), kept for playback.
+    timing: Optional[KernelTiming] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 class ShardPlan:
@@ -555,6 +599,7 @@ class ShardPlan:
         """Queue a kernel launch on one device; returns its op index."""
         return self._add(ShardPlanOp(
             device, StreamOpKind.KERNEL, duration_s=float(timing.total_time_s),
+            timing=timing,
         ))
 
     def host(self, device: int, duration_s: float) -> int:
@@ -597,12 +642,9 @@ def replay_shard_plans(
                 words = np.array(
                     [plans[c].ops[slot].words for c in columns], dtype=np.int64
                 )
-                direction = (
-                    TransferDirection.HOST_TO_DEVICE
-                    if op.kind is StreamOpKind.H2D
-                    else TransferDirection.DEVICE_TO_HOST
+                base = duration_grid(
+                    config, words, _COPY_DIRECTION[op.kind], pinned=op.pinned
                 )
-                base = duration_grid(config, words, direction, pinned=op.pinned)
                 duration = contended_duration_grid(
                     config, base, template.stretches[op.device]
                 )
@@ -619,6 +661,33 @@ def replay_shard_plans(
         makespans[columns] = makespan
         serials[columns] = serial
     return makespans, serials
+
+
+def play_shard_plan(plan: ShardPlan, pool: DevicePool) -> DevicePool:
+    """Play one shard plan back onto ``pool`` and return it.
+
+    The single-size counterpart of :func:`replay_shard_plans`.  ``pool``
+    must be the pool the plan was built against (same devices, same link
+    stretches): the pool applies the contention itself, and charges the
+    uncontended durations to its serial baseline.
+    """
+    stretches = tuple(pool.device_stretch(i) for i in range(pool.num_devices))
+    if plan.stretches != stretches:
+        raise ValueError(
+            f"the plan was built for link stretches {plan.stretches}, but "
+            f"the pool has {stretches}"
+        )
+    for op in plan.ops:
+        if op.kind is StreamOpKind.KERNEL:
+            pool.add_kernel(op.device, op.timing)
+        elif op.kind is StreamOpKind.HOST:
+            pool.add_host(op.device, op.duration_s)
+        else:
+            pool.add_transfer(
+                op.device, op.words, _COPY_DIRECTION[op.kind],
+                pinned=op.pinned,
+            )
+    return pool
 
 
 @dataclass(frozen=True)
@@ -650,20 +719,20 @@ def simulate_sharded_sweep(
     topology=None,
 ) -> ShardedSweepObservation:
     """Batched twin of per-size ``observe_sharded`` (bit-for-bit parity)."""
+    sizes = list(validate_sizes(sizes))
     device_config = config or DeviceConfig.gtx650()
     plans = [
         algorithm.sim_shard_plan(
-            int(n), device_config, devices=devices, contention=contention,
+            n, device_config, devices=devices, contention=contention,
             pinned=pinned, topology=topology,
         )
         for n in sizes
     ]
     makespans, serials = replay_shard_plans(plans, device_config)
-    device_count = len(plans[0].stretches) if plans else devices
     return ShardedSweepObservation(
         algorithm=algorithm.name,
-        sizes=[int(n) for n in sizes],
+        sizes=sizes,
         makespans_s=[float(t) for t in makespans],
         serial_times_s=[float(t) for t in serials],
-        device_count=device_count,
+        device_count=len(plans[0].stretches),
     )

@@ -38,7 +38,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
 
 from repro.core.transfer import TransferDirection
 from repro.simulator.timing import KernelTiming
@@ -341,30 +340,3 @@ def pipeline_makespan(stage_chunks: Iterable[Sequence[float]]) -> float:
         makespan = max(makespan, ready)
     return makespan
 
-
-def pipeline_makespan_grid(stage_chunks):
-    """Vectorized twin of :func:`pipeline_makespan` over a sweep of pipelines.
-
-    ``stage_chunks`` is a ``chunks × stages × sizes`` array: element
-    ``[c, s, i]`` is the duration of chunk ``c``'s stage ``s`` in sweep point
-    ``i``.  Returns the per-point makespans as a ``(sizes,)`` float array.
-    The recurrence walks chunks and stages exactly like the scalar function
-    (``max``/``+`` folds in the same order), so each column is bit-for-bit
-    equal to ``pipeline_makespan`` on that column's chunk matrix.
-    """
-    grid = np.asarray(stage_chunks, dtype=float)
-    if grid.ndim != 3:
-        raise ValueError("stage_chunks must be a chunks × stages × sizes array")
-    if np.any(grid < 0):
-        raise ValueError("stage durations must be >= 0")
-    num_chunks, num_stages, num_sizes = grid.shape
-    engine_free = np.zeros((num_stages, num_sizes))
-    makespan = np.zeros(num_sizes)
-    for chunk in range(num_chunks):
-        ready = np.zeros(num_sizes)
-        for stage in range(num_stages):
-            start = np.maximum(ready, engine_free[stage])
-            ready = start + grid[chunk, stage]
-            engine_free[stage] = ready
-        makespan = np.maximum(makespan, ready)
-    return makespan

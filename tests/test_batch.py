@@ -1,9 +1,10 @@
 """Tests for the vectorized batch cost engine (``repro.core.batch``).
 
 The contract under test is *bit-for-bit* parity: for every built-in backend
-family the batch path must produce exactly the series the scalar path
-produces (``rtol=0, atol=0``), across the paper's algorithms, randomized
-synthetic sweeps, and the degeneracy cases (``chunks=1``, ``devices=1``).
+family ``predict_sweep`` must produce exactly the series per-size
+``analyse`` produces (``rtol=0, atol=0``), across the paper's algorithms,
+randomized synthetic sweeps, and the degeneracy cases (``chunks=1``,
+``devices=1``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import pytest
 
 from repro.algorithms import MatrixMultiplication, Reduction, VectorAddition
 from repro.core.backends import (
-    all_backends_support_batch,
     backend_supports_batch,
     evaluate_backends_batch,
     get_backend,
@@ -53,6 +53,27 @@ SWEEP_SIZES = {
     "reduction": [1 << 10, 1 << 14, 1 << 18, 1 << 20],
     "matrix_multiplication": [32, 64, 96, 256],
 }
+
+
+def analysed(algo, sizes, preset=GTX_650, backends=None) -> dict:
+    """Per-size ``analyse`` reports gathered into sweep series.
+
+    The scalar reference of a sweep: one report per size, priced from the
+    algorithm's scalar ``metrics(n)``.  Keys are backend names plus
+    ``transfer``, ``kernel`` and ``proportion``.
+    """
+    reports = [algo.analyse(n, preset=preset, backends=backends) for n in sizes]
+    names = backends if backends is not None else ("atgpu", "swgpu", "perfect")
+    out = {
+        name: np.array([r.backend_cost(name) for r in reports])
+        for name in names
+    }
+    out["transfer"] = np.array([r.transfer_cost for r in reports])
+    out["kernel"] = np.array([r.kernel_cost for r in reports])
+    out["proportion"] = np.array(
+        [r.predicted_transfer_proportion for r in reports]
+    )
+    return out
 
 
 def random_metrics(rng: np.random.Generator, machine, rounds: int
@@ -185,28 +206,28 @@ class TestBackendParity:
     def test_every_family_bitwise_equal(self, algorithm_cls, preset):
         algo = algorithm_cls()
         sizes = SWEEP_SIZES[algo.name]
-        scalar = algo.predict_sweep(sizes, preset=preset,
-                                    backends=FAMILY_BACKENDS, path="scalar")
+        scalar = analysed(algo, sizes, preset=preset,
+                          backends=FAMILY_BACKENDS)
         batch = algo.predict_sweep(sizes, preset=preset,
-                                   backends=FAMILY_BACKENDS, path="batch")
+                                   backends=FAMILY_BACKENDS)
         for name in FAMILY_BACKENDS:
             assert np.array_equal(
-                scalar.series_for(name), batch.series_for(name)
+                scalar[name], batch.series_for(name)
             ), f"series mismatch for backend {name}"
-        assert np.array_equal(scalar.predicted_transfer_proportions,
+        assert np.array_equal(scalar["proportion"],
                               batch.predicted_transfer_proportions)
-        assert np.array_equal(scalar.transfer_costs, batch.transfer_costs)
-        assert np.array_equal(scalar.kernel_costs, batch.kernel_costs)
+        assert np.array_equal(scalar["transfer"], batch.transfer_costs)
+        assert np.array_equal(scalar["kernel"], batch.kernel_costs)
 
     def test_section_iv_sweeps_identical_with_rtol_zero(self):
         """The acceptance criterion: paper sweeps, every default backend."""
         for algorithm_cls in ALGORITHMS:
             algo = algorithm_cls()
             sizes = algo.default_sizes()
-            scalar = algo.predict_sweep(sizes, path="scalar")
-            batch = algo.predict_sweep(sizes, path="batch")
+            scalar = analysed(algo, sizes)
+            batch = algo.predict_sweep(sizes)
             for name in ("atgpu", "swgpu", "perfect"):
-                assert np.allclose(scalar.series_for(name),
+                assert np.allclose(scalar[name],
                                    batch.series_for(name), rtol=0, atol=0)
 
     def test_randomized_metrics_parity(self, machine, parameters, occupancy):
@@ -316,47 +337,15 @@ class TestBackendParity:
 
 
 class TestPredictSweepPaths:
-    def test_invalid_path_rejected(self):
-        with pytest.raises(ValueError, match="path must be one of"):
-            VectorAddition().predict_sweep([100], path="vectorised")
-
-    def test_auto_uses_batch_for_builtin_backends(self):
-        prediction = VectorAddition().predict_sweep([100, 200], path="auto")
-        assert not prediction.reports
+    def test_prediction_carries_breakdown_and_builtin_trio(self):
+        prediction = VectorAddition().predict_sweep([100, 200])
         assert prediction.transfers is not None
         assert prediction.kernels is not None
-        # The built-in trio is always available, as on the scalar path.
+        # The built-in trio is always available, whatever was requested.
         for name in ("atgpu", "swgpu", "perfect"):
             assert name in prediction.backend_names()
 
-    def test_scalar_path_keeps_reports(self):
-        prediction = VectorAddition().predict_sweep([100, 200], path="scalar")
-        assert len(prediction.reports) == 2
-
-    def test_auto_falls_back_to_scalar_for_custom_backend(self):
-        custom = make_backend(
-            "test-batch-fallback", "2x",
-            lambda metrics, machine, params, occ:
-                2.0 * get_backend("atgpu").cost(metrics, machine, params, occ),
-        )
-        register_backend(custom)
-        try:
-            assert not backend_supports_batch(custom)
-            assert not all_backends_support_batch(("atgpu",
-                                                   "test-batch-fallback"))
-            prediction = VectorAddition().predict_sweep(
-                [1000, 2000], backends=("atgpu", "test-batch-fallback"),
-            )
-            # Fallback: the scalar path ran, reports included.
-            assert len(prediction.reports) == 2
-            assert np.allclose(
-                prediction.series_for("test-batch-fallback"),
-                2.0 * prediction.series_for("atgpu"),
-            )
-        finally:
-            unregister_backend("test-batch-fallback")
-
-    def test_forced_batch_path_serves_custom_backend_scalarly(self):
+    def test_custom_backend_without_batch_evaluator_priced_per_size(self):
         custom = make_backend(
             "test-batch-fallback2", "2x",
             lambda metrics, machine, params, occ:
@@ -364,14 +353,18 @@ class TestPredictSweepPaths:
         )
         register_backend(custom)
         try:
-            prediction = VectorAddition().predict_sweep(
-                [1000, 2000], backends=("atgpu", "test-batch-fallback2"),
-                path="batch",
-            )
-            assert not prediction.reports
+            assert not backend_supports_batch(custom)
+            sizes = [1000, 2000]
+            names = ("atgpu", "test-batch-fallback2")
+            prediction = VectorAddition().predict_sweep(sizes, backends=names)
             assert np.allclose(
                 prediction.series_for("test-batch-fallback2"),
                 2.0 * prediction.series_for("atgpu"),
+            )
+            scalar = analysed(VectorAddition(), sizes, backends=names)
+            assert np.array_equal(
+                prediction.series_for("test-batch-fallback2"),
+                scalar["test-batch-fallback2"],
             )
         finally:
             unregister_backend("test-batch-fallback2")
@@ -379,13 +372,13 @@ class TestPredictSweepPaths:
     def test_batch_prediction_supports_figure_accessors(self):
         algo = VectorAddition()
         sizes = [1000, 2000, 4000]
-        scalar = algo.predict_sweep(sizes, path="scalar")
-        batch = algo.predict_sweep(sizes, path="batch")
-        assert set(batch.normalised()) == set(scalar.normalised())
-        assert np.array_equal(batch.transfer_costs, scalar.transfer_costs)
-        assert np.array_equal(batch.kernel_costs, scalar.kernel_costs)
+        scalar = analysed(algo, sizes)
+        batch = algo.predict_sweep(sizes)
+        assert set(batch.normalised()) == {"ATGPU", "SWGPU"}
+        assert np.array_equal(batch.transfer_costs, scalar["transfer"])
+        assert np.array_equal(batch.kernel_costs, scalar["kernel"])
 
-    def test_custom_batch_backend_used_by_auto(self):
+    def test_custom_batch_backend_used(self):
         custom = make_backend(
             "test-batch-vec", "vec",
             lambda metrics, machine, params, occ: float(len(metrics)),
@@ -398,7 +391,6 @@ class TestPredictSweepPaths:
             prediction = Reduction().predict_sweep(
                 [1 << 10, 1 << 14], backends=("atgpu", "test-batch-vec"),
             )
-            assert not prediction.reports  # batch path taken
             expected = [len(Reduction().metrics(n, GTX_650.machine))
                         for n in (1 << 10, 1 << 14)]
             assert list(prediction.series_for("test-batch-vec")) == expected
@@ -478,10 +470,10 @@ class TestEvaluateBackendsBatch:
         try:
             algo = Reduction()
             sizes = SWEEP_SIZES["reduction"]
-            scalar = algo.predict_sweep(sizes, backends=names, path="scalar")
-            batch = algo.predict_sweep(sizes, backends=names, path="batch")
+            scalar = analysed(algo, sizes, backends=names)
+            batch = algo.predict_sweep(sizes, backends=names)
             for name in names:
-                assert np.array_equal(scalar.series_for(name),
+                assert np.array_equal(scalar[name],
                                       batch.series_for(name)), name
         finally:
             for name in added:
@@ -510,7 +502,6 @@ class TestSweepPredictionSeriesFields:
         direct = predict_sweep(
             algo.name, sizes, lambda n: algo.metrics(n, GTX_650.machine),
             GTX_650.machine, GTX_650.parameters, GTX_650.occupancy,
-            path="scalar",
         )
         for name in ("atgpu", "swgpu", "perfect"):
             assert np.array_equal(prediction.series_for(name),

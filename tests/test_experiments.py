@@ -1,4 +1,4 @@
-"""Integration tests for the experiment harness (figures, tables, runner)."""
+"""Integration tests for the experiment harness (figures, tables, session)."""
 
 from __future__ import annotations
 
@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    ExperimentRunner,
+    Session,
     all_figures,
     figure3,
     figure4,
     figure5,
     figure6,
+    paper_specs,
     render_figure,
     render_figures,
     render_summary,
@@ -29,13 +30,10 @@ from repro.workloads.generators import (
 
 
 @pytest.fixture(scope="module")
-def runner() -> ExperimentRunner:
-    return ExperimentRunner(scale="small")
-
-
-@pytest.fixture(scope="module")
-def comparisons(runner):
-    return runner.run_paper_evaluation()
+def comparisons():
+    """The Section IV comparisons at small scale, keyed by algorithm."""
+    results = Session().run_many(paper_specs(scale="small"))
+    return {result.algorithm: result.comparison() for result in results}
 
 
 class TestWorkloads:
@@ -90,17 +88,7 @@ class TestTable1:
         assert "ATGPU" in text and "Host/Device Data Transfer" in text
 
 
-class TestRunner:
-    def test_runner_rejects_unknown_scale(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(scale="huge")
-
-    def test_run_algorithm_caches(self, runner):
-        from repro.algorithms import VectorAddition
-        first = runner.run_algorithm(VectorAddition())
-        second = runner.run_algorithm(VectorAddition())
-        assert first is second
-
+class TestPaperEvaluation:
     def test_paper_evaluation_covers_three_algorithms(self, comparisons):
         assert set(comparisons) == {
             "vector_addition", "reduction", "matrix_multiplication"}

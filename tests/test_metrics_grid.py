@@ -31,8 +31,10 @@ from repro.core.metrics import (
     RoundMetrics,
     metrics_grid,
     round_arrays,
+    size_vector,
 )
 from repro.core.presets import GTX_650, GTX_980
+from repro.experiments import ExperimentSpec
 
 ALGORITHMS = [
     VectorAddition, Reduction, MatrixMultiplication, PrefixSum, Histogram,
@@ -97,22 +99,24 @@ class TestVectorizedFactoryParity:
             ), (algo.name, name)
 
     def test_predict_sweep_paths_bitwise_equal(self, algorithm_cls, preset):
-        """End to end: batch path (vectorized factory) vs scalar path."""
+        """End to end: predict_sweep (vectorized factory) vs per-size
+        analyse (scalar factory)."""
         algo = algorithm_cls()
         sizes = algo.default_sizes()
         backends = ("atgpu", "swgpu", "perfect", "agpu", "atgpu-async",
                     "atgpu-multi")
-        batch = algo.predict_sweep(sizes, preset=preset, backends=backends,
-                                   path="batch")
-        scalar = algo.predict_sweep(sizes, preset=preset, backends=backends,
-                                    path="scalar")
+        batch = algo.predict_sweep(sizes, preset=preset, backends=backends)
+        reports = [
+            algo.analyse(n, preset=preset, backends=backends) for n in sizes
+        ]
         for name in backends:
             assert np.array_equal(
-                batch.series_for(name), scalar.series_for(name)
+                batch.series_for(name),
+                [r.backend_cost(name) for r in reports],
             ), (algo.name, name)
         assert np.array_equal(
             batch.predicted_transfer_proportions,
-            scalar.predicted_transfer_proportions,
+            [r.predicted_transfer_proportion for r in reports],
         )
 
 
@@ -167,9 +171,9 @@ class TestCapacityValidationParity:
         machine = GTX_650.machine
         sizes = [1_000, machine.G]
         with pytest.raises(CapacityError):
-            algo.predict_sweep(sizes, preset=GTX_650, path="batch")
+            algo.predict_sweep(sizes, preset=GTX_650)
         with pytest.raises(CapacityError):
-            algo.predict_sweep(sizes, preset=GTX_650, path="scalar")
+            algo.analyse(machine.G, preset=GTX_650)
         with pytest.raises(CapacityError):
             algo.metrics_batch(sizes, machine).validate_against(machine)
         assert not algo.metrics_batch(sizes, machine).runs_on(machine)
@@ -328,10 +332,53 @@ class TestDefaultScalarLoopFallback:
     def test_default_predict_sweep_still_batches(self):
         custom = self._Custom()
         sizes = [1_000, 250_000]
-        batch = custom.predict_sweep(sizes, preset=GTX_650, path="batch")
-        scalar = custom.predict_sweep(sizes, preset=GTX_650, path="scalar")
+        batch = custom.predict_sweep(sizes, preset=GTX_650)
+        scalar = [custom.analyse(n, preset=GTX_650) for n in sizes]
         assert np.array_equal(batch.series_for("atgpu"),
-                              scalar.series_for("atgpu"))
+                              [r.backend_cost("atgpu") for r in scalar])
+
+
+#: Every public sweep boundary, called with one sweep of sizes.
+SWEEP_ENTRY_POINTS = {
+    "predict_sweep": lambda sizes: VectorAddition().predict_sweep(sizes),
+    "compile_batch": lambda sizes: VectorAddition().compile_batch(sizes),
+    "observe_sweep": lambda sizes: VectorAddition().observe_sweep(sizes),
+    "observe_streamed_sweep":
+        lambda sizes: Reduction().observe_streamed_sweep(sizes),
+    "observe_sharded_sweep":
+        lambda sizes: Reduction().observe_sharded_sweep(sizes),
+    "ExperimentSpec":
+        lambda sizes: ExperimentSpec("vector_addition", sizes=sizes),
+}
+
+
+class TestSweepSizeValidation:
+    """Every sweep boundary validates sizes like ``ensure_positive_int``."""
+
+    @pytest.mark.parametrize("sizes,error", [
+        ([2.5], TypeError),
+        (["5"], TypeError),
+        ([True], TypeError),
+        ([float("nan")], TypeError),
+        ([float("inf")], TypeError),
+        ([0], ValueError),
+        ([-3], ValueError),
+        ([], ValueError),
+    ], ids=["float", "str", "bool", "nan", "inf", "zero", "negative", "empty"])
+    @pytest.mark.parametrize("entry", sorted(SWEEP_ENTRY_POINTS))
+    def test_bad_sizes_rejected_at_the_boundary(self, entry, sizes, error):
+        with pytest.raises(error):
+            SWEEP_ENTRY_POINTS[entry]([64] + sizes if sizes else sizes)
+
+    def test_numpy_integers_accepted(self):
+        sizes = [np.int64(1_000), np.int32(2_000)]
+        assert ExperimentSpec("vector_addition", sizes=sizes).sizes \
+            == (1_000, 2_000)
+        assert size_vector(sizes).tolist() == [1_000, 2_000]
+        assert np.array_equal(
+            VectorAddition().predict_sweep(sizes).atgpu_costs,
+            VectorAddition().predict_sweep([1_000, 2_000]).atgpu_costs,
+        )
 
 
 class TestCompileEntryPoints:

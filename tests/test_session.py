@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from repro.core.prediction import (
 )
 from repro.core.presets import GTX_650
 from repro.experiments import (
-    ExperimentRunner,
     ExperimentSpec,
     ProcessPoolEngine,
     Result,
@@ -36,7 +34,6 @@ from repro.experiments import (
     execute_spec,
     execute_specs,
     paper_specs,
-    summary_statistics,
 )
 from repro.simulator.config import DeviceConfig
 
@@ -347,29 +344,13 @@ class TestSessionExecution:
 
 
 class TestSectionIVParity:
-    """Acceptance: Session reproduces the legacy evaluation path exactly."""
+    """Acceptance: the Section IV evaluation repeats from the cache."""
 
-    def test_session_matches_legacy_runner_and_caches_repeats(self):
+    def test_session_caches_repeated_paper_evaluation(self):
         session = Session()
         specs = paper_specs(scale="small",
                             backends=("atgpu", "swgpu", "perfect"))
         modern = session.run_many(specs)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = ExperimentRunner(scale="small").run_paper_evaluation()
-
-        assert set(modern.by_algorithm()) == set(legacy)
-        for name, comparison in legacy.items():
-            assert modern.get(name).summary() == pytest.approx(
-                comparison.summary())
-        modern_summaries = summary_statistics(modern)
-        legacy_summaries = summary_statistics(legacy)
-        for name in legacy_summaries:
-            assert (modern_summaries[name].measured_transfer_share
-                    == pytest.approx(legacy_summaries[name].measured_transfer_share))
-            assert (modern_summaries[name].measured_swgpu_capture
-                    == pytest.approx(legacy_summaries[name].measured_swgpu_capture))
 
         # A repeated batch is served entirely from the cache.
         hits_before = session.cache_hits
@@ -377,49 +358,6 @@ class TestSectionIVParity:
         assert session.cache_hits == hits_before + len(specs)
         for first, second in zip(modern, repeat):
             assert first is second
-
-
-class TestRunnerShim:
-    def test_runner_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            ExperimentRunner(scale="small")
-
-    def test_customised_preset_keeping_a_registered_name_is_accepted(self):
-        """The legacy runner accepted tweaked copies of registered presets."""
-        from dataclasses import replace
-
-        from repro.algorithms import VectorAddition
-
-        tweaked = replace(
-            GTX_650, parameters=replace(GTX_650.parameters, sigma=1.0e-4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            runner = ExperimentRunner(preset=tweaked, scale="small")
-        comparison = runner.run_algorithm(VectorAddition(), sizes=TINY_SIZES)
-        spec = runner.spec_for("vector_addition", sizes=TINY_SIZES)
-        assert spec.preset.startswith("gtx650-")  # content-addressed alias
-        assert comparison.prediction.atgpu_costs[0] > 0
-        from repro.core.presets import PRESETS
-
-        assert PRESETS["gtx650"] == GTX_650  # the original is untouched
-
-    def test_mutated_runner_fields_invalidate_cache(self):
-        """The legacy cache-key bug: seed/preset/device changes must miss."""
-        from repro.algorithms import VectorAddition
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            runner = ExperimentRunner(scale="small")
-        first = runner.run_algorithm(VectorAddition(), sizes=TINY_SIZES)
-        runner.seed = 99
-        reseeded = runner.run_algorithm(VectorAddition(), sizes=TINY_SIZES)
-        assert reseeded is not first
-        runner.device_config = DeviceConfig.gtx650().with_overrides(num_sms=4)
-        retimed = runner.run_algorithm(VectorAddition(), sizes=TINY_SIZES)
-        assert retimed is not reseeded
-        # Faster device: the observed totals must actually differ.
-        assert not np.allclose(retimed.observation.totals,
-                               reseeded.observation.totals)
 
 
 class TestGroupedBatchExecution:
@@ -655,7 +593,7 @@ class TestBatchEvaluationCache:
         session.run_many([tiny_spec(seed=4)])
         assert session.batch_cache_misses > misses
 
-    def test_unbatchable_backends_skip_the_memo(self):
+    def test_unbatchable_backends_share_the_memo(self):
         plain = make_backend("test-session-scalar-only", "scalar-only",
                              lambda metrics, m, p, o: 1.0)
         register_backend(plain)
@@ -665,7 +603,9 @@ class TestBatchEvaluationCache:
                 seed=0, backends=("atgpu", "test-session-scalar-only")
             )
             result = session.run_many([spec])[0]
-            assert session.batch_cache.size == 0
+            # One compiled batch plus one evaluated prediction, priced per
+            # size for the backend without a batch evaluator.
+            assert session.batch_cache.size == 2
             assert result.predicted["test-session-scalar-only"] == [1.0, 1.0]
         finally:
             unregister_backend("test-session-scalar-only")

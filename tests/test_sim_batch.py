@@ -1,8 +1,12 @@
 """Bit-for-bit parity of the batched simulator and mergeable spec groups.
 
 The batched observation paths (:mod:`repro.simulator.batch`) promise
-**exact** float equality with the scalar per-size loops — every test here
-compares with ``==``, never with a tolerance.  The mergeable group planner
+**exact** float equality with the per-size ``observe`` /
+``observe_streamed`` / ``observe_sharded`` calls — every test here
+compares with ``==``, never with a tolerance.  ``observe(n)`` runs the
+algorithm's real host program on a :class:`GPUDevice`, so it is an
+independent scalar reference; the single-chunk and single-device schedules
+are checked against it too.  The mergeable group planner
 (:func:`repro.experiments.session.plan_groups`) promises the same for
 scattered union-batch predictions.
 """
@@ -26,8 +30,6 @@ from repro.simulator.batch import (
     simulate_sweep,
 )
 from repro.simulator.config import DeviceConfig
-from repro.simulator.streams import StreamOpKind, StreamTimeline
-from repro.simulator.streams import pipeline_makespan_grid
 
 #: Every registered algorithm appears here by name so the SIM001 lint rule
 #: (and a human reader) can see the parity net has no holes.
@@ -56,8 +58,13 @@ def sweep_sizes(name: str, config_name: str) -> list:
     return table[config_name]
 
 
+def observed(algorithm, sizes, config=None) -> list:
+    """The per-size ``observe`` loop: the scalar reference of a sweep."""
+    return [algorithm.observe(n, config=config) for n in sizes]
+
+
 class TestSweepParity:
-    """simulate_sweep == the scalar observe_sweep loop, bit for bit."""
+    """observe_sweep == the per-size observe loop, bit for bit."""
 
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     @pytest.mark.parametrize("name", ALL_ALGORITHMS)
@@ -65,11 +72,11 @@ class TestSweepParity:
         algorithm = create(name)
         config = CONFIGS[config_name]()
         sizes = sweep_sizes(name, config_name)
-        scalar = algorithm.observe_sweep(sizes, config=config, path="scalar")
-        batch = algorithm.observe_sweep(sizes, config=config, path="batch")
-        assert batch.total_times == scalar.total_times
-        assert batch.kernel_times == scalar.kernel_times
-        assert batch.transfer_times == scalar.transfer_times
+        scalar = observed(algorithm, sizes, config=config)
+        batch = algorithm.observe_sweep(sizes, config=config)
+        assert batch.total_times == [r.total_time_s for r in scalar]
+        assert batch.kernel_times == [r.kernel_time_s for r in scalar]
+        assert batch.transfer_times == [r.transfer_time_s for r in scalar]
 
     @pytest.mark.parametrize("name,sizes", [
         ("vector_addition", [200000, 300001]),
@@ -80,27 +87,16 @@ class TestSweepParity:
         # Large grids take the representative-block sampled path; the
         # probe must replicate the scalar launch decision exactly.
         algorithm = create(name)
-        scalar = algorithm.observe_sweep(sizes, path="scalar")
-        batch = algorithm.observe_sweep(sizes, path="batch")
-        assert batch.total_times == scalar.total_times
+        scalar = observed(algorithm, sizes)
+        batch = algorithm.observe_sweep(sizes)
+        assert batch.total_times == [r.total_time_s for r in scalar]
 
     def test_degenerate_single_size_sweep(self):
         algorithm = create("vector_addition")
-        scalar = algorithm.observe_sweep([64], path="scalar")
-        batch = algorithm.observe_sweep([64], path="batch")
-        assert batch.total_times == scalar.total_times
-        assert batch.sizes == scalar.sizes
-
-    def test_auto_path_matches_scalar(self):
-        algorithm = create("reduction")
-        auto = algorithm.observe_sweep([5, 64])
-        scalar = algorithm.observe_sweep([5, 64], path="scalar")
-        assert auto.total_times == scalar.total_times
-
-    def test_unknown_path_rejected(self):
-        algorithm = create("vector_addition")
-        with pytest.raises(ValueError, match="path"):
-            algorithm.observe_sweep([64], path="warp")
+        (scalar,) = observed(algorithm, [64])
+        batch = algorithm.observe_sweep([64])
+        assert batch.total_times == [scalar.total_time_s]
+        assert batch.sizes == [scalar.input_size]
 
     def test_simulate_sweep_direct(self):
         algorithm = create("histogram")
@@ -117,25 +113,19 @@ class TestStreamedShardedParity:
     def test_streamed_parity(self, name, chunks):
         algorithm = create(name)
         sizes = [5, 33, 64, 1000, 4097]
-        scalar = algorithm.observe_streamed_sweep(
-            sizes, chunks=chunks, path="scalar"
-        )
-        batch = algorithm.observe_streamed_sweep(
-            sizes, chunks=chunks, path="batch"
-        )
-        assert batch.makespans_s == scalar.makespans_s
-        assert batch.serial_times_s == scalar.serial_times_s
+        scalar = [algorithm.observe_streamed(n, chunks=chunks) for n in sizes]
+        batch = algorithm.observe_streamed_sweep(sizes, chunks=chunks)
+        assert batch.makespans_s == [r.makespan_s for r in scalar]
+        assert batch.serial_times_s == [r.serial_time_s for r in scalar]
 
     @pytest.mark.parametrize("name", ["vector_addition", "reduction"])
     def test_streamed_pinned_parity(self, name):
         algorithm = create(name)
-        scalar = algorithm.observe_streamed_sweep(
-            [33, 1000], pinned=True, path="scalar"
-        )
-        batch = algorithm.observe_streamed_sweep(
-            [33, 1000], pinned=True, path="batch"
-        )
-        assert batch.makespans_s == scalar.makespans_s
+        scalar = [
+            algorithm.observe_streamed(n, pinned=True) for n in [33, 1000]
+        ]
+        batch = algorithm.observe_streamed_sweep([33, 1000], pinned=True)
+        assert batch.makespans_s == [r.makespan_s for r in scalar]
 
     @pytest.mark.parametrize("kwargs", [
         {"devices": 2},
@@ -146,13 +136,11 @@ class TestStreamedShardedParity:
     def test_sharded_parity(self, name, kwargs):
         algorithm = create(name)
         sizes = [5, 33, 64, 1000, 4097]
-        scalar = algorithm.observe_sharded_sweep(
-            sizes, path="scalar", **kwargs
-        )
-        batch = algorithm.observe_sharded_sweep(sizes, path="batch", **kwargs)
-        assert batch.makespans_s == scalar.makespans_s
-        assert batch.serial_times_s == scalar.serial_times_s
-        assert batch.device_count == scalar.device_count
+        scalar = [algorithm.observe_sharded(n, **kwargs) for n in sizes]
+        batch = algorithm.observe_sharded_sweep(sizes, **kwargs)
+        assert batch.makespans_s == [r.makespan_s for r in scalar]
+        assert batch.serial_times_s == [r.serial_time_s for r in scalar]
+        assert all(batch.device_count == r.device_count for r in scalar)
 
     def test_simulate_streamed_sweep_direct_parity(self):
         # The entry point itself (not just the observe_* façade) must be
@@ -177,20 +165,28 @@ class TestStreamedShardedParity:
         assert batch.makespans_s == [r.makespan_s for r in per_size]
         assert batch.serial_times_s == [r.serial_time_s for r in per_size]
 
-    def test_unsupported_plan_falls_back_to_scalar(self):
-        # An algorithm without a stream plan hook loops per size on auto.
-        from repro.algorithms.base import GPUAlgorithm
-        from repro.algorithms.vector_addition import VectorAddition
 
-        class PlanlessVectorAddition(VectorAddition):
-            sim_stream_plan = GPUAlgorithm.sim_stream_plan
+class TestDegenerateScheduleOracle:
+    """One chunk and one device degenerate to the plain ``observe`` run.
 
-        algorithm = PlanlessVectorAddition()
-        assert not algorithm.supports_sim_stream_plan
-        sizes = [33, 64]
-        swept = algorithm.observe_streamed_sweep(sizes)
-        per_size = [algorithm.observe_streamed(n) for n in sizes]
-        assert swept.makespans_s == [r.makespan_s for r in per_size]
+    ``observe(n)`` executes the algorithm's host program on a
+    :class:`GPUDevice`, independently of the stream and shard plans, so
+    equality here checks each schedule against a separate implementation
+    rather than against its own replay.  1,000 elements take the
+    functional (every block executed) launch path; 200,000 the sampled one.
+    """
+
+    @pytest.mark.parametrize("n", [1_000, 200_000])
+    @pytest.mark.parametrize("name", ["vector_addition", "reduction"])
+    def test_single_chunk_and_device_equal_observe_bit_for_bit(self, name, n):
+        algorithm = create(name)
+        total = algorithm.observe(n).total_time_s
+        assert algorithm.observe_streamed(n, chunks=1).makespan_s == total
+        assert algorithm.observe_sharded(n, devices=1).makespan_s == total
+        assert algorithm.observe_streamed_sweep([n], chunks=1).makespans_s \
+            == [total]
+        assert algorithm.observe_sharded_sweep([n], devices=1).makespans_s \
+            == [total]
 
 
 class TestProbeDevice:
@@ -202,24 +198,6 @@ class TestProbeDevice:
         assert kinds.count("ProbeTransfer") == 3  # a, b in; c out
         assert kinds.count("ProbeKernel") == 1
         assert kinds.count("ProbeSync") == 1
-
-
-class TestPipelineMakespanGrid:
-    def test_matches_stream_timeline_loop(self):
-        rng = np.random.default_rng(7)
-        chunks, stages, widths = 3, 2, 4
-        grid = rng.uniform(0.1, 1.0, size=(chunks, stages, widths))
-        batched = pipeline_makespan_grid(grid)
-        for column in range(widths):
-            timeline = StreamTimeline()
-            kinds = [StreamOpKind.H2D, StreamOpKind.KERNEL]
-            for chunk in range(chunks):
-                stream = timeline.stream(f"chunk{chunk}")
-                for stage in range(stages):
-                    timeline.submit(
-                        stream, kinds[stage], grid[chunk, stage, column]
-                    )
-            assert batched[column] == timeline.makespan_s
 
 
 class TestMergeableGroups:
