@@ -10,9 +10,10 @@ exactly that for SAXPY (``y = a·x + y``):
 3. statically analyse it into metrics and evaluate the cost functions,
 4. execute the very same program on the simulator through the interpreter
    and compare the observed transfer share with the prediction,
-5. describe a whole *sweep* of sizes at once with an array-native
-   ``MetricsGrid`` (the ``metrics_batch`` extension point) and price every
-   size as one vectorized batch — bit-for-bit equal to the per-size path.
+5. describe a whole *sweep* of sizes at once as ``round_arrays`` rows
+   stacked into a ``MetricsBatch`` (the ``metrics_batch`` extension point)
+   and price every size as one vectorized batch — bit-for-bit equal to the
+   per-size path.
 
 Run with::
 
@@ -25,8 +26,7 @@ import sys
 
 import numpy as np
 
-from repro.core import GTX_650, analyse_metrics, metrics_grid, round_arrays
-from repro.core.batch import MetricsBatch
+from repro.core import GTX_650, MetricsBatch, analyse_metrics, round_arrays
 from repro.core.prediction import predict_sweep_batch
 from repro.pseudocode import (
     GlobalToShared,
@@ -88,7 +88,7 @@ def build_saxpy(n: int, b: int, a_scalar: float) -> Program:
     )
 
 
-def saxpy_metrics_grid(sizes, machine):
+def saxpy_metrics_batch(sizes, machine):
     """SAXPY metrics for a whole sweep of sizes, as one array program.
 
     This is the array-native factory a :class:`repro.GPUAlgorithm` subclass
@@ -102,7 +102,7 @@ def saxpy_metrics_grid(sizes, machine):
     """
     ns = np.asarray(list(sizes), dtype=np.int64)
     blocks = machine.thread_blocks_grid(ns)
-    return metrics_grid(ns, [round_arrays(
+    return MetricsBatch.from_rounds(ns, [round_arrays(
         len(ns),
         time=4.0,
         io_blocks=3.0 * blocks,
@@ -112,17 +112,16 @@ def saxpy_metrics_grid(sizes, machine):
         shared_words_per_mp=2.0 * machine.b,
         thread_blocks=blocks,
         label="saxpy",
-    )], name="saxpy")
+    )], algorithm="saxpy")
 
 
 def sweep_demo(preset, sizes) -> None:
-    """Price a whole SAXPY sweep from one MetricsGrid and check parity."""
-    grid = saxpy_metrics_grid(sizes, preset.machine)
-    batch = MetricsBatch.from_grid(grid)
+    """Price a whole SAXPY sweep from one MetricsBatch and check parity."""
+    batch = saxpy_metrics_batch(sizes, preset.machine)
     prediction = predict_sweep_batch(
         "saxpy", batch, preset.machine, preset.parameters, preset.occupancy
     )
-    print("\nVectorized sweep via metrics_batch-style grid "
+    print("\nVectorized sweep via a metrics_batch-style factory "
           "(one array program, no per-size metrics objects):")
     for index, (n, cost, share) in enumerate(zip(
         sizes, prediction.series_for("atgpu"),
@@ -130,7 +129,7 @@ def sweep_demo(preset, sizes) -> None:
     )):
         # Parity with the per-size analysis is exact, not approximate.
         report = analyse_metrics(
-            grid.metrics_at(index), preset.machine,
+            batch.metrics_at(index), preset.machine,
             preset.parameters, preset.occupancy,
             algorithm="saxpy", input_size=n,
         )

@@ -22,8 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.analysis import AnalysisReport, analyse_metrics
+from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
-from repro.core.metrics import AlgorithmMetrics, MetricsGrid
+from repro.core.metrics import AlgorithmMetrics
 from repro.core.prediction import (
     SweepObservation,
     SweepPrediction,
@@ -258,21 +259,23 @@ class GPUAlgorithm(abc.ABC):
 
     def metrics_batch(
         self, ns: Sequence[int], machine: ATGPUMachine
-    ) -> MetricsGrid:
+    ) -> MetricsBatch:
         """Array-native metrics of the algorithm over a whole size vector.
 
         The Section IV analyses are closed-form in ``n``, so an algorithm
-        can describe an entire sweep as per-round NumPy columns instead of
-        one :class:`~repro.core.metrics.AlgorithmMetrics` per size.  Every
+        can describe an entire sweep as per-round NumPy columns
+        (:func:`~repro.core.metrics.round_arrays` rows stacked by
+        :meth:`~repro.core.batch.MetricsBatch.from_rounds`) instead of one
+        :class:`~repro.core.metrics.AlgorithmMetrics` per size.  Every
         built-in algorithm overrides this with a true vectorized factory
-        whose grid is **bit-for-bit** equal to calling :meth:`metrics` per
-        size; the default here is the scalar-loop fallback (still packed
-        column-wise, so custom algorithms get the cheap packing for free).
+        whose batch is **bit-for-bit** equal to packing :meth:`metrics` per
+        size; the default here is that scalar-loop packing
+        (:meth:`~repro.core.batch.MetricsBatch.from_metrics`).
         """
-        return MetricsGrid.from_metrics(
+        return MetricsBatch.from_metrics(
             ns,
             [self.metrics(int(n), machine) for n in ns],
-            name=self.name,
+            algorithm=self.name,
         )
 
     @property
@@ -335,14 +338,12 @@ class GPUAlgorithm(abc.ABC):
         self,
         sizes: Optional[Sequence[int]] = None,
         preset: GPUPreset = DEFAULT_PRESET,
-    ):
+    ) -> MetricsBatch:
         """Pack this algorithm's per-round metrics for a sweep into a
         :class:`~repro.core.batch.MetricsBatch` (compiled once, evaluated by
         any backend family as an array program).  Compilation goes through
         :meth:`metrics_batch`, so algorithms with a vectorized factory
         describe the whole sweep without per-size metrics objects."""
-        from repro.core.batch import MetricsBatch
-
         sizes = list(sizes) if sizes is not None else self.default_sizes()
         return MetricsBatch.compile(
             self.name, sizes,

@@ -17,12 +17,11 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.algorithms.base import GPUAlgorithm, RunResult
+from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
-    MetricsGrid,
     RoundMetrics,
-    metrics_grid,
     round_arrays,
     size_vector,
 )
@@ -203,7 +202,7 @@ class Histogram(GPUAlgorithm):
         )
         return AlgorithmMetrics([build_round, merge_round], name=self.name)
 
-    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsGrid:
+    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsBatch:
         """Vectorized :meth:`metrics`: build + merge phases over a size vector."""
         sizes = size_vector(ns)
         b = machine.b
@@ -234,7 +233,9 @@ class Histogram(GPUAlgorithm):
             thread_blocks=max(1, bin_blocks),
             label="merge partials",
         )
-        return metrics_grid(sizes, [build_round, merge_round], name=self.name)
+        return MetricsBatch.from_rounds(
+            sizes, [build_round, merge_round], algorithm=self.name
+        )
 
     def build_pseudocode(self, n: int, machine: ATGPUMachine) -> Program:
         b = machine.b

@@ -25,12 +25,11 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.algorithms.base import GPUAlgorithm, RunResult
+from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
-    MetricsGrid,
     RoundMetrics,
-    metrics_grid,
     round_arrays,
     size_vector,
 )
@@ -184,7 +183,7 @@ class MatrixMultiplication(GPUAlgorithm):
         )
         return AlgorithmMetrics([round_metrics], name=self.name)
 
-    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsGrid:
+    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsBatch:
         """Vectorized :meth:`metrics` over a vector of matrix sides.
 
         The tile width ``b = min(machine.b, n)`` is itself size-dependent,
@@ -195,7 +194,7 @@ class MatrixMultiplication(GPUAlgorithm):
         tiles = ceil_div(sizes, b).astype(np.int64)
         blocks = tiles ** 2
         io_per_block = tiles * 2 * b + b  # load A+B tiles each k-step, store C tile
-        return metrics_grid(sizes, [round_arrays(
+        return MetricsBatch.from_rounds(sizes, [round_arrays(
             len(sizes),
             time=(sizes * b).astype(float),
             io_blocks=(blocks * io_per_block).astype(float),
@@ -207,7 +206,7 @@ class MatrixMultiplication(GPUAlgorithm):
             shared_words_per_mp=3.0 * b * b,
             thread_blocks=blocks,
             label="matrix multiplication",
-        )], name=self.name)
+        )], algorithm=self.name)
 
     def build_pseudocode(self, n: int, machine: ATGPUMachine) -> Program:
         ensure_positive_int(n, "n")

@@ -35,12 +35,11 @@ from repro.algorithms.base import (
     sharded_pool,
 )
 from repro.core.topology import Topology
+from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
-    MetricsGrid,
     RoundMetrics,
-    metrics_grid,
     round_arrays,
     size_vector,
 )
@@ -198,7 +197,7 @@ class Reduction(GPUAlgorithm):
             ))
         return AlgorithmMetrics(rounds, name=self.name)
 
-    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsGrid:
+    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsBatch:
         """Vectorized :meth:`metrics`: the log tree over a size vector.
 
         The per-size round count varies (``⌈log_b n⌉`` levels), so the
@@ -248,7 +247,7 @@ class Reduction(GPUAlgorithm):
                 present=level_present,
                 label=f"reduction level {index + 1}",
             ))
-        return metrics_grid(sizes, rounds, name=self.name)
+        return MetricsBatch.from_rounds(sizes, rounds, algorithm=self.name)
 
     def build_pseudocode(self, n: int, machine: ATGPUMachine) -> Program:
         ensure_positive_int(n, "n")

@@ -24,12 +24,11 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.algorithms.base import GPUAlgorithm, RunResult
+from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
-    MetricsGrid,
     RoundMetrics,
-    metrics_grid,
     round_arrays,
     size_vector,
 )
@@ -212,7 +211,7 @@ class PrefixSum(GPUAlgorithm):
         )
         return AlgorithmMetrics([scan_round, totals_round, add_round], name=self.name)
 
-    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsGrid:
+    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsBatch:
         """Vectorized :meth:`metrics`: the three scan phases over a size vector."""
         sizes = size_vector(ns)
         b = machine.b
@@ -251,8 +250,8 @@ class PrefixSum(GPUAlgorithm):
             thread_blocks=blocks,
             label="add offsets",
         )
-        return metrics_grid(
-            sizes, [scan_round, totals_round, add_round], name=self.name
+        return MetricsBatch.from_rounds(
+            sizes, [scan_round, totals_round, add_round], algorithm=self.name
         )
 
     def build_pseudocode(self, n: int, machine: ATGPUMachine) -> Program:

@@ -19,12 +19,11 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.algorithms.base import GPUAlgorithm, RunResult
+from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
-    MetricsGrid,
     RoundMetrics,
-    metrics_grid,
     round_arrays,
     size_vector,
 )
@@ -162,14 +161,14 @@ class SpMV(GPUAlgorithm):
         )
         return AlgorithmMetrics([round_metrics], name=self.name)
 
-    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsGrid:
+    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsBatch:
         """Vectorized :meth:`metrics`: the CSR round over a size vector."""
         sizes = size_vector(ns)
         b = machine.b
         nnz = self.nnz_per_row
         blocks = ceil_div(sizes, b).astype(np.int64)
         total_nnz = sizes * nnz
-        return metrics_grid(sizes, [round_arrays(
+        return MetricsBatch.from_rounds(sizes, [round_arrays(
             len(sizes),
             time=float(2 + nnz),
             # Row pointers + per-nonzero value/colidx (coalesced) and the x
@@ -183,7 +182,7 @@ class SpMV(GPUAlgorithm):
             shared_words_per_mp=float(b),
             thread_blocks=blocks,
             label="csr spmv",
-        )], name=self.name)
+        )], algorithm=self.name)
 
     def build_pseudocode(self, n: int, machine: ATGPUMachine) -> Program:
         b = machine.b

@@ -21,12 +21,11 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.algorithms.base import GPUAlgorithm, RunResult
+from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
-    MetricsGrid,
     RoundMetrics,
-    metrics_grid,
     round_arrays,
     size_vector,
 )
@@ -146,7 +145,7 @@ class Stencil1D(GPUAlgorithm):
             ))
         return AlgorithmMetrics(rounds, name=self.name)
 
-    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsGrid:
+    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsBatch:
         """Vectorized :meth:`metrics`: ``iterations`` rounds over a size vector.
 
         The round count is a fixed parameter (not size-dependent), so every
@@ -177,7 +176,7 @@ class Stencil1D(GPUAlgorithm):
                 thread_blocks=blocks,
                 label=f"stencil iteration {iteration + 1}",
             ))
-        return metrics_grid(sizes, rounds, name=self.name)
+        return MetricsBatch.from_rounds(sizes, rounds, algorithm=self.name)
 
     def build_pseudocode(self, n: int, machine: ATGPUMachine) -> Program:
         b = machine.b

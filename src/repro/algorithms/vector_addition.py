@@ -30,12 +30,11 @@ from repro.algorithms.base import (
     sharded_pool,
 )
 from repro.core.topology import Topology
+from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
-    MetricsGrid,
     RoundMetrics,
-    metrics_grid,
     round_arrays,
     size_vector,
 )
@@ -165,11 +164,11 @@ class VectorAddition(GPUAlgorithm):
         )
         return AlgorithmMetrics([round_metrics], name=self.name)
 
-    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsGrid:
+    def metrics_batch(self, ns, machine: ATGPUMachine) -> MetricsBatch:
         """Vectorized :meth:`metrics`: the single round over a size vector."""
         sizes = size_vector(ns)
         k = machine.thread_blocks_grid(sizes)
-        return metrics_grid(sizes, [round_arrays(
+        return MetricsBatch.from_rounds(sizes, [round_arrays(
             len(sizes),
             time=_KERNEL_OPERATIONS,
             io_blocks=_IO_BLOCKS_PER_BLOCK * k,
@@ -181,7 +180,7 @@ class VectorAddition(GPUAlgorithm):
             shared_words_per_mp=3.0 * machine.b,
             thread_blocks=k,
             label="vector addition",
-        )], name=self.name)
+        )], algorithm=self.name)
 
     def build_pseudocode(self, n: int, machine: ATGPUMachine) -> Program:
         ensure_positive_int(n, "n")

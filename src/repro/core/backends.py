@@ -79,6 +79,7 @@ from repro.core.sharding import (
 )
 from repro.core.topology import Topology
 from repro.core.transfer import OverlappedTransferModel
+from repro.utils.validation import ensure_positive_int
 
 #: Signature of a backend's evaluation function.
 CostFunction = Callable[
@@ -289,10 +290,9 @@ def evaluate_backends_batch(
 
     Backends with a vectorized evaluator run as one array program; backends
     without one (custom registrations) fall back to their scalar ``cost``
-    once per size, using the per-size metrics the batch retains — or, for
-    batches compiled through an array-native factory, metrics materialised
-    from the grid on demand.  Either way the result is one
-    ``(len(batch.sizes),)`` array per backend.
+    once per size, on metrics rebuilt from the batch columns
+    (:meth:`~repro.core.batch.MetricsBatch.metrics_at`).  Either way the
+    result is one ``(len(batch.sizes),)`` array per backend.
     """
     out: Dict[str, np.ndarray] = {}
     fallback_metrics = None
@@ -302,13 +302,9 @@ def evaluate_backends_batch(
             out[name] = backend.batch_cost(batch, machine, parameters, occupancy)
             continue
         if fallback_metrics is None:
-            fallback_metrics = batch.materialized_metrics()
-        if not fallback_metrics:
-            raise ValueError(
-                f"backend {name!r} has no batch evaluation and the batch "
-                "retains no per-size metrics for the scalar fallback; "
-                "compile the batch from metrics objects"
-            )
+            fallback_metrics = [
+                batch.metrics_at(index) for index in range(batch.num_sizes)
+            ]
         out[name] = np.array(
             [
                 backend.cost(metrics, machine, parameters, occupancy)
@@ -386,6 +382,7 @@ def make_async_backend(
     can be registered alongside it, e.g.
     ``register_backend(make_async_backend(8))`` yields ``atgpu-async8``.
     """
+    ensure_positive_int(chunks, "chunks")
 
     def _cost(metrics, machine, parameters, occupancy) -> float:
         return overlapped_cost(metrics, machine, parameters, occupancy, chunks)

@@ -6,8 +6,9 @@ need a Python loop per size: the per-round metrics of every size pack into
 ``rounds × sizes`` NumPy arrays once, and each cost-model family evaluates
 the whole sweep as one array program.
 
-:class:`MetricsBatch` is that packed form — compiled once per
-algorithm/sweep from a metrics factory (or a list of pre-built
+:class:`MetricsBatch` is that packed form — built once per
+algorithm/sweep by the algorithm's array-native ``metrics_batch`` factory
+(or packed from a list of pre-built
 :class:`~repro.core.metrics.AlgorithmMetrics`) — and the module-level
 evaluators mirror the scalar models exactly:
 
@@ -39,8 +40,8 @@ contributes exactly ``0.0`` to every sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +50,15 @@ from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
     CapacityError,
-    MetricsGrid,
+    RoundMetrics,
+    RoundMetricsArrays,
     validate_sizes,
 )
-from repro.core.occupancy import OccupancyModel
+from repro.core.occupancy import (
+    OccupancyModel,
+    blocks_per_multiprocessor_grid,
+    wave_count_grid,
+)
 from repro.core.topology import contended_streaming
 from repro.utils.numerics import ceil_div
 from repro.utils.validation import ensure_in_range, ensure_positive_int
@@ -61,7 +67,7 @@ from repro.utils.validation import ensure_in_range, ensure_positive_int
 BatchMetricsFactory = Callable[[int], AlgorithmMetrics]
 
 #: Signature of a whole-sweep (array-native) metrics factory.
-GridMetricsFactory = Callable[[Sequence[int]], MetricsGrid]
+SweepMetricsFactory = Callable[[Sequence[int]], "MetricsBatch"]
 
 
 def _column_sum(rows: np.ndarray) -> np.ndarray:
@@ -82,16 +88,18 @@ def _column_sum(rows: np.ndarray) -> np.ndarray:
 class MetricsBatch:
     """Per-round metrics of a whole sweep, packed as ``(rounds, sizes)`` arrays.
 
-    Compile once per algorithm/sweep via :meth:`compile` (from a metrics
-    factory) or :meth:`from_metrics` (from pre-built metrics).  The original
-    :class:`~repro.core.metrics.AlgorithmMetrics` objects are retained in
-    :attr:`metrics` so backends without a vectorized implementation can fall
-    back to their scalar path on the very same data.
+    The one array form of a sweep's metrics.  Every built-in
+    ``metrics_batch`` factory ends in :meth:`from_rounds`, which stacks its
+    :class:`~repro.core.metrics.RoundMetricsArrays` rows;
+    :meth:`from_metrics` packs pre-built per-size metrics; :meth:`compile`
+    runs either kind of factory over a size list.  :meth:`metrics_at`
+    rebuilds one size's :class:`~repro.core.metrics.AlgorithmMetrics` for
+    backends without a vectorized evaluator.
 
     All grids share the shape ``(max rounds, len(sizes))``; columns shorter
-    than the deepest size are padded with neutral rounds and :attr:`mask`
-    (``1.0`` for real rounds, ``0.0`` for padding) gates every per-round
-    constant term (the synchronisation ``σ``).
+    than the deepest size are padded with neutral rounds (zero values, one
+    thread block) and :attr:`mask` (``1.0`` for real rounds, ``0.0`` for
+    padding) gates every per-round constant term (the synchronisation ``σ``).
     """
 
     algorithm: str
@@ -104,61 +112,86 @@ class MetricsBatch:
     outward_words: np.ndarray
     inward_transactions: np.ndarray
     outward_transactions: np.ndarray
+    global_words: np.ndarray
     shared_words_per_mp: np.ndarray
     thread_blocks: np.ndarray
     max_global_words: np.ndarray
     max_shared_words: np.ndarray
-    #: The per-size metrics the batch was packed from (scalar-fallback data).
-    metrics: Tuple[AlgorithmMetrics, ...] = field(default=(), repr=False)
-    #: The array-native grid the batch was packed from, when compiled through
-    #: a vectorized factory; used to materialise scalar metrics on demand.
-    grid: Optional[MetricsGrid] = field(default=None, repr=False, compare=False)
+    #: Each row's round label, for :meth:`metrics_at`.
+    labels: Tuple[Optional[str], ...]
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_grid(
+    def from_rounds(
         cls,
-        grid: MetricsGrid,
+        sizes: Sequence[int],
+        rounds: Iterable[RoundMetricsArrays],
         algorithm: str = "",
-        metrics: Tuple[AlgorithmMetrics, ...] = (),
     ) -> "MetricsBatch":
-        """Pack an array-native :class:`~repro.core.metrics.MetricsGrid`.
+        """Stack an algorithm's per-round rows into a batch.
 
-        This is pure array work — each round's columns stack into one row of
-        the ``(rounds, sizes)`` grids, absent entries neutralised (zero
-        everything, one thread block) exactly as the scalar packing pads
-        ragged columns.
+        Row ``i``'s column ``j`` describes round ``i`` at sweep size
+        ``sizes[j]``.  Presence masks must be *top-aligned* — a round
+        present at some size requires every earlier round present there
+        too — and every size needs at least one round.  Absent cells are
+        neutralised: zero values, one thread block, mask ``0``.
         """
-        present = np.stack([r.present for r in grid.rounds])
-        mask = present.astype(float)
+        sizes = tuple(int(n) for n in sizes)
+        if not sizes:
+            raise ValueError("a metrics batch needs at least one input size")
+        rows = tuple(rounds)
+        if not rows:
+            raise ValueError("an algorithm must have at least one round")
+        for index, row in enumerate(rows):
+            if row.num_sizes != len(sizes):
+                raise ValueError(
+                    f"round {index} covers {row.num_sizes} sizes "
+                    f"but the batch has {len(sizes)}"
+                )
+        present = np.stack([row.present for row in rows])
+        orphaned = present[1:] & ~present[:-1]
+        if orphaned.any():
+            index = int(np.argmax(orphaned.any(axis=1))) + 1
+            raise ValueError(
+                f"round {index} is present at a size where round "
+                f"{index - 1} is absent; presence masks must be top-aligned"
+            )
+        if not present[0].all():
+            at = int(np.argmax(~present[0]))
+            raise ValueError(
+                f"size {sizes[at]} has no rounds; every size needs at "
+                "least one"
+            )
+        padded = not present.all()
 
         def stack(name: str, fill: float = 0.0) -> np.ndarray:
-            # masked_columns owns the absence semantics (shared with the
-            # grid's aggregate properties); only the float dtype is local.
-            columns = np.stack(grid.masked_columns(name, fill))
-            return columns.astype(float, copy=False)
+            values = np.stack([getattr(row, name) for row in rows])
+            values = values.astype(float, copy=False)
+            return np.where(present, values, fill) if padded else values
 
+        global_words = stack("global_words")
+        shared_words = stack("shared_words_per_mp")
         return cls(
-            algorithm=algorithm or grid.name,
-            sizes=grid.sizes,
+            algorithm=algorithm,
+            sizes=sizes,
             round_counts=present.sum(axis=0),
-            mask=mask,
+            mask=present.astype(float),
             time=stack("time"),
             io_blocks=stack("io_blocks"),
             inward_words=stack("inward_words"),
             outward_words=stack("outward_words"),
             inward_transactions=stack("inward_transactions"),
             outward_transactions=stack("outward_transactions"),
-            shared_words_per_mp=stack("shared_words_per_mp"),
+            global_words=global_words,
+            shared_words_per_mp=shared_words,
             # Padded rounds keep one thread block so the wave count stays
             # well-defined; their zero time makes the product vanish anyway.
             thread_blocks=stack("thread_blocks", fill=1.0),
-            max_global_words=grid.max_global_words,
-            max_shared_words=grid.max_shared_words_per_mp,
-            metrics=tuple(metrics),
-            grid=grid,
+            max_global_words=global_words.max(axis=0),
+            max_shared_words=shared_words.max(axis=0),
+            labels=tuple(row.label for row in rows),
         )
 
     @classmethod
@@ -170,22 +203,66 @@ class MetricsBatch:
     ) -> "MetricsBatch":
         """Pack pre-built per-size metrics into a batch.
 
-        The metrics pack column-wise through
-        :meth:`~repro.core.metrics.MetricsGrid.from_metrics` (one array build
-        per field per round level) rather than a per-cell Python double loop,
-        and the originals are retained in :attr:`metrics` for backends that
-        need the scalar fallback.
+        Each round level becomes one row with one array build per field
+        rather than a per-cell Python loop of NumPy scalar assignments;
+        sizes with fewer rounds are absent from the deeper rows.  The name
+        defaults to the first named metrics in the list.
         """
-        if not sizes:
+        if len(sizes) == 0:
             raise ValueError("a metrics batch needs at least one input size")
         if len(sizes) != len(metrics_list):
             raise ValueError(
                 f"got {len(sizes)} sizes but {len(metrics_list)} metrics"
             )
-        grid = MetricsGrid.from_metrics(sizes, metrics_list, name=algorithm)
-        return cls.from_grid(
-            grid, algorithm=algorithm, metrics=tuple(metrics_list)
-        )
+        if not algorithm:
+            algorithm = next((m.name for m in metrics_list if m.name), "")
+        depth = max(len(m) for m in metrics_list)
+        rounds: List[RoundMetricsArrays] = []
+        for level in range(depth):
+            at_level = [m[level] if level < len(m) else None for m in metrics_list]
+            label = next(
+                (r.label for r in at_level if r is not None and r.label), None
+            )
+            rounds.append(RoundMetricsArrays(
+                time=np.array(
+                    [r.time if r else 0.0 for r in at_level], dtype=float
+                ),
+                io_blocks=np.array(
+                    [r.io_blocks if r else 0.0 for r in at_level], dtype=float
+                ),
+                inward_words=np.array(
+                    [r.inward_words if r else 0.0 for r in at_level], dtype=float
+                ),
+                outward_words=np.array(
+                    [r.outward_words if r else 0.0 for r in at_level],
+                    dtype=float,
+                ),
+                inward_transactions=np.array(
+                    [r.inward_transactions if r else 0 for r in at_level],
+                    dtype=np.int64,
+                ),
+                outward_transactions=np.array(
+                    [r.outward_transactions if r else 0 for r in at_level],
+                    dtype=np.int64,
+                ),
+                global_words=np.array(
+                    [r.global_words if r else 0.0 for r in at_level],
+                    dtype=float,
+                ),
+                shared_words_per_mp=np.array(
+                    [r.shared_words_per_mp if r else 0.0 for r in at_level],
+                    dtype=float,
+                ),
+                thread_blocks=np.array(
+                    [r.thread_blocks if r else 1 for r in at_level],
+                    dtype=np.int64,
+                ),
+                present=np.array(
+                    [r is not None for r in at_level], dtype=bool
+                ),
+                label=label,
+            ))
+        return cls.from_rounds(sizes, rounds, algorithm=algorithm)
 
     @classmethod
     def compile(
@@ -193,15 +270,16 @@ class MetricsBatch:
         algorithm: str,
         sizes: Sequence[int],
         metrics_factory: Optional[BatchMetricsFactory] = None,
-        grid_factory: Optional[GridMetricsFactory] = None,
+        grid_factory: Optional[SweepMetricsFactory] = None,
     ) -> "MetricsBatch":
         """Build the batch from a metrics factory.
 
         ``grid_factory`` is the array-native path: it receives the whole size
-        list at once and returns a :class:`~repro.core.metrics.MetricsGrid`,
-        which packs without constructing any intermediate per-size
-        :class:`~repro.core.metrics.RoundMetrics` objects.  ``metrics_factory``
-        is the scalar path, invoked once per size.  Exactly one must be given.
+        list at once and returns the batch itself (an algorithm's
+        ``metrics_batch``), without constructing any per-size
+        :class:`~repro.core.metrics.RoundMetrics` objects.
+        ``metrics_factory`` is the scalar path, invoked once per size.
+        Exactly one must be given.
         """
         sizes = list(validate_sizes(sizes))
         if grid_factory is not None:
@@ -209,36 +287,20 @@ class MetricsBatch:
                 raise ValueError(
                     "pass either metrics_factory or grid_factory, not both"
                 )
-            grid = grid_factory(sizes)
-            if tuple(grid.sizes) != tuple(sizes):
+            batch = grid_factory(sizes)
+            if batch.sizes != tuple(sizes):
                 raise ValueError(
-                    "grid_factory returned a grid over sizes "
-                    f"{grid.sizes} but the batch asked for {tuple(sizes)}"
+                    "grid_factory returned a batch over sizes "
+                    f"{batch.sizes} but the compile asked for {tuple(sizes)}"
                 )
-            return cls.from_grid(grid, algorithm=algorithm)
+            if algorithm and batch.algorithm != algorithm:
+                batch = replace(batch, algorithm=algorithm)
+            return batch
         if metrics_factory is None:
             raise ValueError("compile needs a metrics_factory or grid_factory")
         return cls.from_metrics(
             sizes, [metrics_factory(n) for n in sizes], algorithm=algorithm
         )
-
-    def materialized_metrics(self) -> Tuple[AlgorithmMetrics, ...]:
-        """Per-size scalar metrics, building them from the grid if needed.
-
-        Batches packed from scalar metrics return the retained originals;
-        batches compiled through an array-native factory materialise
-        equivalent :class:`~repro.core.metrics.AlgorithmMetrics` from the
-        grid columns on demand (backends without a batch evaluator are the
-        only consumer).  Returns ``()`` when neither source is available.
-        """
-        if self.metrics:
-            return self.metrics
-        if self.grid is not None:
-            return tuple(
-                self.grid.metrics_at(index)
-                for index in range(self.grid.num_sizes)
-            )
-        return ()
 
     # ------------------------------------------------------------------ #
     # Views
@@ -253,29 +315,41 @@ class MetricsBatch:
         """Largest per-size round count (rows, including padding)."""
         return int(self.time.shape[0])
 
-    def columns_for(self, sizes: Sequence[int]) -> List[int]:
-        """Column indices of the given size values, in request order.
-
-        The coalescing machinery compiles one batch over the union of
-        several requested sweeps and scatters per-request views back out;
-        this maps a request's sizes to the union's columns (duplicate
-        columns in :attr:`sizes` resolve to the first occurrence).  Raises
-        :class:`KeyError` naming the first size the batch does not cover.
-        """
-        column = {n: j for j, n in reversed(list(enumerate(self.sizes)))}
-        try:
-            return [column[int(n)] for n in sizes]
-        except KeyError as exc:
-            raise KeyError(
-                f"batch over sizes {self.sizes} has no column for size "
-                f"{exc.args[0]}"
-            ) from exc
+    def metrics_at(self, index: int) -> AlgorithmMetrics:
+        """The scalar :class:`~repro.core.metrics.AlgorithmMetrics` of one
+        sweep point, rebuilt from its column's real (unpadded) rounds."""
+        return AlgorithmMetrics(
+            [
+                RoundMetrics(
+                    time=float(self.time[row, index]),
+                    io_blocks=float(self.io_blocks[row, index]),
+                    inward_words=float(self.inward_words[row, index]),
+                    outward_words=float(self.outward_words[row, index]),
+                    inward_transactions=int(
+                        self.inward_transactions[row, index]
+                    ),
+                    outward_transactions=int(
+                        self.outward_transactions[row, index]
+                    ),
+                    global_words=float(self.global_words[row, index]),
+                    shared_words_per_mp=float(
+                        self.shared_words_per_mp[row, index]
+                    ),
+                    thread_blocks=int(self.thread_blocks[row, index]),
+                    label=self.labels[row],
+                )
+                for row in range(int(self.round_counts[index]))
+            ],
+            name=self.algorithm,
+        )
 
     def select(self, indices: Sequence[int]) -> "MetricsBatch":
         """A sub-batch restricted to the given size columns, in order.
 
         This is how a shared batch compiled over the union of several
-        sweeps serves each individual sweep without re-packing.
+        sweeps serves each individual sweep without re-packing.  Every row
+        is kept, so a selection may carry rows that are padding in all of
+        its columns.
         """
         idx = list(indices)
         if not idx:
@@ -292,12 +366,12 @@ class MetricsBatch:
             outward_words=self.outward_words[:, cols],
             inward_transactions=self.inward_transactions[:, cols],
             outward_transactions=self.outward_transactions[:, cols],
+            global_words=self.global_words[:, cols],
             shared_words_per_mp=self.shared_words_per_mp[:, cols],
             thread_blocks=self.thread_blocks[:, cols],
             max_global_words=self.max_global_words[cols],
             max_shared_words=self.max_shared_words[cols],
-            metrics=tuple(self.metrics[i] for i in idx) if self.metrics else (),
-            grid=self.grid.select(idx) if self.grid is not None else None,
+            labels=self.labels,
         )
 
     # ------------------------------------------------------------------ #
@@ -378,56 +452,6 @@ class BatchBreakdown:
         return out
 
 
-# --------------------------------------------------------------------- #
-# Vectorized occupancy
-# --------------------------------------------------------------------- #
-def blocks_per_mp_grid(
-    shared_memory_capacity: int,
-    shared_words: np.ndarray,
-    hardware_block_limit: int,
-) -> np.ndarray:
-    """Elementwise ``ℓ = min(⌊M / m⌋, H)`` over a grid of per-round ``m``.
-
-    Replicates :func:`repro.core.occupancy.blocks_per_multiprocessor`
-    exactly, including the relative-epsilon snap for fractional ``m`` and
-    the hard error when a block cannot fit at all.
-    """
-    ensure_positive_int(shared_memory_capacity, "shared_memory_capacity")
-    ensure_positive_int(hardware_block_limit, "hardware_block_limit")
-    m = np.asarray(shared_words, dtype=float)
-    out = np.full(m.shape, float(hardware_block_limit))
-    uses_shared = m > 0
-    if not np.any(uses_shared):
-        return out
-    ratio = np.divide(
-        float(shared_memory_capacity), m, out=np.ones_like(m), where=uses_shared
-    )
-    nearest = np.round(ratio)
-    snap = (nearest > 0) & (np.abs(ratio - nearest) <= 1e-9 * nearest)
-    by_memory = np.where(snap, nearest, np.floor(ratio))
-    impossible = uses_shared & (by_memory == 0)
-    if np.any(impossible):
-        at = np.argwhere(impossible)[0]
-        raise ValueError(
-            f"a thread block needs {m[tuple(at)]} shared words but the "
-            f"MP only has {shared_memory_capacity}: the kernel cannot run"
-        )
-    out[uses_shared] = np.minimum(
-        by_memory, float(hardware_block_limit)
-    )[uses_shared]
-    return out
-
-
-def wave_grid(
-    thread_blocks: np.ndarray,
-    physical_mps: int,
-    blocks_per_mp: np.ndarray,
-) -> np.ndarray:
-    """Elementwise wave count ``⌈k_i / (k'·ℓ)⌉`` over the batch grids."""
-    ensure_positive_int(physical_mps, "physical_mps")
-    return ceil_div(thread_blocks, (physical_mps * blocks_per_mp))
-
-
 def _waves(
     batch: MetricsBatch,
     machine: ATGPUMachine,
@@ -435,11 +459,11 @@ def _waves(
     thread_blocks: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Wave grid of the batch under an occupancy model."""
-    ell = blocks_per_mp_grid(
+    ell = blocks_per_multiprocessor_grid(
         machine.M, batch.shared_words_per_mp, occupancy.hardware_block_limit
     )
     blocks = batch.thread_blocks if thread_blocks is None else thread_blocks
-    return wave_grid(blocks, occupancy.physical_mps, ell)
+    return wave_count_grid(blocks, occupancy.physical_mps, ell)
 
 
 # --------------------------------------------------------------------- #

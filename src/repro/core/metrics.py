@@ -16,15 +16,14 @@ The paper analyses an algorithm by, for each round ``i``:
 ordered collection of rounds together with machine-level validation
 (the algorithm "cannot be run on our model" if it exceeds ``G`` or ``M``).
 
-The module also provides the **array-native** form of the same description:
+The module also provides the **array-native** row of the same description:
 :class:`RoundMetricsArrays` holds one round's metrics as NumPy columns over a
-whole vector of input sizes, and :class:`MetricsGrid` is the ordered
-collection of such rounds — the Section IV analyses are closed-form in
+whole vector of input sizes, and
+:meth:`repro.core.batch.MetricsBatch.from_rounds` stacks an algorithm's rows
+into the packed sweep form — the Section IV analyses are closed-form in
 ``n``, so an algorithm can describe an entire sweep at once instead of
 constructing thousands of per-size :class:`RoundMetrics` objects (see
-:meth:`repro.algorithms.base.GPUAlgorithm.metrics_batch`).  A grid validates
-against a machine with the same ``CapacityError`` messages and
-first-offending-size semantics as the packed batch form.
+:meth:`repro.algorithms.base.GPUAlgorithm.metrics_batch`).
 """
 
 from __future__ import annotations
@@ -305,7 +304,7 @@ class RoundMetricsArrays:
     exists at all — algorithms whose round count grows with ``n`` (the
     reduction's log tree) simply mark the deeper rounds absent for the small
     sizes.  Fields of absent entries are ignored (they are neutralised when
-    the grid packs into a :class:`~repro.core.batch.MetricsBatch`), so
+    :meth:`~repro.core.batch.MetricsBatch.from_rounds` stacks the rows), so
     factories may leave whatever their vectorized recurrence produced there.
 
     Build instances through :func:`round_arrays`, which broadcasts scalar
@@ -334,12 +333,16 @@ class RoundMetricsArrays:
     def __post_init__(self) -> None:
         # One fused check keeps the happy path cheap (a factory builds many
         # tiny rounds); the precise per-field error is produced lazily.
+        # Each test states the valid range (``x >= 0``), so NaN fails it.
+        valid = (
+            (self.time >= 0) & (self.io_blocks >= 0)
+            & (self.inward_words >= 0) & (self.outward_words >= 0)
+            & (self.inward_transactions >= 0) & (self.outward_transactions >= 0)
+            & (self.global_words >= 0) & (self.shared_words_per_mp >= 0)
+            & (self.thread_blocks >= 1)
+        )
         problems = (
-            (self.time < 0) | (self.io_blocks < 0)
-            | (self.inward_words < 0) | (self.outward_words < 0)
-            | (self.inward_transactions < 0) | (self.outward_transactions < 0)
-            | (self.global_words < 0) | (self.shared_words_per_mp < 0)
-            | (self.thread_blocks < 1)
+            ~valid
             | ((self.inward_transactions == 0) & (self.inward_words > 0))
             | ((self.outward_transactions == 0) & (self.outward_words > 0))
         )
@@ -349,9 +352,9 @@ class RoundMetricsArrays:
     def _raise_invalid(self) -> None:
         p = self.present
         for name in self._NON_NEGATIVE:
-            if ((getattr(self, name) < 0) & p).any():
+            if (~(getattr(self, name) >= 0) & p).any():
                 raise ValueError(f"{name} must be >= 0 wherever present")
-        if ((self.thread_blocks < 1) & p).any():
+        if (~(self.thread_blocks >= 1) & p).any():
             raise ValueError("thread_blocks must be >= 1 wherever present")
         if (p & (self.inward_transactions == 0) & (self.inward_words > 0)).any():
             raise ValueError(
@@ -365,33 +368,6 @@ class RoundMetricsArrays:
     def num_sizes(self) -> int:
         """Number of sweep points covered by the columns."""
         return int(self.present.shape[0])
-
-    @property
-    def transfer_words(self) -> np.ndarray:
-        """``I_i + O_i`` per size."""
-        return self.inward_words + self.outward_words
-
-    @property
-    def transfer_transactions(self) -> np.ndarray:
-        """``Î_i + Ô_i`` per size."""
-        return self.inward_transactions + self.outward_transactions
-
-    def round_at(self, index: int, label: Optional[str] = None) -> RoundMetrics:
-        """Materialise this round's metrics for one sweep point."""
-        if not self.present[index]:
-            raise ValueError(f"round is absent at size column {index}")
-        return RoundMetrics(
-            time=float(self.time[index]),
-            io_blocks=float(self.io_blocks[index]),
-            inward_words=float(self.inward_words[index]),
-            outward_words=float(self.outward_words[index]),
-            inward_transactions=int(self.inward_transactions[index]),
-            outward_transactions=int(self.outward_transactions[index]),
-            global_words=float(self.global_words[index]),
-            shared_words_per_mp=float(self.shared_words_per_mp[index]),
-            thread_blocks=int(self.thread_blocks[index]),
-            label=label if label is not None else self.label,
-        )
 
 
 def round_arrays(
@@ -435,302 +411,6 @@ def round_arrays(
         present=_as_column(present, n_sizes, "present", bool),
         label=label,
     )
-
-
-class MetricsGrid:
-    """Ordered :class:`RoundMetricsArrays` describing a whole sweep at once.
-
-    The array-native analogue of :class:`AlgorithmMetrics`: round ``i``'s
-    column ``j`` describes round ``i`` of the algorithm at sweep size
-    ``sizes[j]``.  Presence masks must be *top-aligned* — a round present at
-    some size requires every earlier round present there too — matching the
-    padding layout of :class:`~repro.core.batch.MetricsBatch`, and every
-    size must have at least one round.
-    """
-
-    def __init__(
-        self,
-        sizes: Sequence[int],
-        rounds: Iterable[RoundMetricsArrays],
-        name: str = "",
-    ) -> None:
-        self.sizes: Tuple[int, ...] = tuple(int(n) for n in sizes)
-        if not self.sizes:
-            raise ValueError("a metrics grid needs at least one input size")
-        self._rounds: Tuple[RoundMetricsArrays, ...] = tuple(rounds)
-        if not self._rounds:
-            raise ValueError("an algorithm must have at least one round")
-        self.name = name
-        n_sizes = len(self.sizes)
-        previous = np.ones(n_sizes, dtype=bool)
-        for index, round_arrays_ in enumerate(self._rounds):
-            if round_arrays_.num_sizes != n_sizes:
-                raise ValueError(
-                    f"round {index} covers {round_arrays_.num_sizes} sizes "
-                    f"but the grid has {n_sizes}"
-                )
-            if np.any(round_arrays_.present & ~previous):
-                raise ValueError(
-                    f"round {index} is present at a size where round "
-                    f"{index - 1} is absent; presence masks must be "
-                    "top-aligned"
-                )
-            previous = round_arrays_.present
-        if not np.all(self._rounds[0].present):
-            at = int(np.argmax(~self._rounds[0].present))
-            raise ValueError(
-                f"size {self.sizes[at]} has no rounds; every size needs at "
-                "least one"
-            )
-
-    # ------------------------------------------------------------------ #
-    # Container protocol
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._rounds)
-
-    def __iter__(self) -> Iterator[RoundMetricsArrays]:
-        return iter(self._rounds)
-
-    def __getitem__(self, index: int) -> RoundMetricsArrays:
-        return self._rounds[index]
-
-    @property
-    def rounds(self) -> Tuple[RoundMetricsArrays, ...]:
-        """The per-round columns, in execution order."""
-        return self._rounds
-
-    @property
-    def num_sizes(self) -> int:
-        """Number of sweep points (columns)."""
-        return len(self.sizes)
-
-    @property
-    def depth(self) -> int:
-        """Largest per-size round count (including rounds absent at some sizes)."""
-        return len(self._rounds)
-
-    @property
-    def round_counts(self) -> np.ndarray:
-        """``R`` per size — how many rounds each sweep point really has."""
-        return sum(
-            (r.present.astype(np.int64) for r in self._rounds),
-            np.zeros(self.num_sizes, dtype=np.int64),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Aggregate metrics (Section III, per size)
-    # ------------------------------------------------------------------ #
-    def masked_columns(self, name: str, fill: float = 0.0) -> List[np.ndarray]:
-        """Field ``name`` of every round with absent entries set to ``fill``.
-
-        The single source of absence semantics: the aggregate properties
-        reduce over these columns and the batch packing stacks them, so a
-        change to the neutral fill applies to both.  Fully-present rounds
-        return their column unmasked (callers must not mutate the arrays).
-        """
-        return [
-            getattr(r, name) if r.present.all()
-            else np.where(r.present, getattr(r, name), fill)
-            for r in self._rounds
-        ]
-
-    @property
-    def total_time(self) -> np.ndarray:
-        """``Σ_i t_i`` per size."""
-        return np.sum(self.masked_columns("time"), axis=0)
-
-    @property
-    def total_io_blocks(self) -> np.ndarray:
-        """``Σ_i q_i`` per size."""
-        return np.sum(self.masked_columns("io_blocks"), axis=0)
-
-    @property
-    def total_transfer_words(self) -> np.ndarray:
-        """``Σ_i (I_i + O_i)`` per size."""
-        return np.sum(self.masked_columns("inward_words"), axis=0) \
-            + np.sum(self.masked_columns("outward_words"), axis=0)
-
-    @property
-    def max_global_words(self) -> np.ndarray:
-        """Largest global-memory footprint over the rounds, per size."""
-        return np.max(self.masked_columns("global_words"), axis=0)
-
-    @property
-    def max_shared_words_per_mp(self) -> np.ndarray:
-        """Largest per-MP shared-memory footprint over the rounds, per size."""
-        return np.max(self.masked_columns("shared_words_per_mp"), axis=0)
-
-    # ------------------------------------------------------------------ #
-    # Per-size materialisation and selection
-    # ------------------------------------------------------------------ #
-    def metrics_at(self, index: int) -> AlgorithmMetrics:
-        """Materialise the scalar :class:`AlgorithmMetrics` of one sweep point."""
-        return AlgorithmMetrics(
-            [
-                r.round_at(index)
-                for r in self._rounds
-                if r.present[index]
-            ],
-            name=self.name,
-        )
-
-    def select(self, indices: Sequence[int]) -> "MetricsGrid":
-        """A sub-grid restricted to the given size columns, in order."""
-        idx = list(indices)
-        if not idx:
-            raise ValueError("a metrics grid needs at least one input size")
-        cols = np.asarray(idx, dtype=int)
-        return MetricsGrid(
-            sizes=[self.sizes[i] for i in idx],
-            rounds=[
-                RoundMetricsArrays(
-                    time=r.time[cols],
-                    io_blocks=r.io_blocks[cols],
-                    inward_words=r.inward_words[cols],
-                    outward_words=r.outward_words[cols],
-                    inward_transactions=r.inward_transactions[cols],
-                    outward_transactions=r.outward_transactions[cols],
-                    global_words=r.global_words[cols],
-                    shared_words_per_mp=r.shared_words_per_mp[cols],
-                    thread_blocks=r.thread_blocks[cols],
-                    present=r.present[cols],
-                    label=r.label,
-                )
-                for r in self._rounds
-                if np.any(r.present[cols])
-            ],
-            name=self.name,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Construction from scalar metrics (column-wise packing)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_metrics(
-        cls,
-        sizes: Sequence[int],
-        metrics_list: Sequence[AlgorithmMetrics],
-        name: str = "",
-    ) -> "MetricsGrid":
-        """Pack pre-built per-size metrics into a grid, column by column.
-
-        Each round level packs with one array build per field rather than a
-        per-cell Python loop of NumPy scalar assignments, which is what makes
-        the scalar-factory fallback path cheap too.
-        """
-        if not sizes:
-            raise ValueError("a metrics grid needs at least one input size")
-        if len(sizes) != len(metrics_list):
-            raise ValueError(
-                f"got {len(sizes)} sizes but {len(metrics_list)} metrics"
-            )
-        if not name:
-            for m in metrics_list:
-                if m.name:
-                    name = m.name
-                    break
-        depth = max(len(m) for m in metrics_list)
-        rounds: List[RoundMetricsArrays] = []
-        for level in range(depth):
-            at_level = [m[level] if level < len(m) else None for m in metrics_list]
-            label = next(
-                (r.label for r in at_level if r is not None and r.label), None
-            )
-            rounds.append(RoundMetricsArrays(
-                time=np.array(
-                    [r.time if r else 0.0 for r in at_level], dtype=float
-                ),
-                io_blocks=np.array(
-                    [r.io_blocks if r else 0.0 for r in at_level], dtype=float
-                ),
-                inward_words=np.array(
-                    [r.inward_words if r else 0.0 for r in at_level], dtype=float
-                ),
-                outward_words=np.array(
-                    [r.outward_words if r else 0.0 for r in at_level],
-                    dtype=float,
-                ),
-                inward_transactions=np.array(
-                    [r.inward_transactions if r else 0 for r in at_level],
-                    dtype=np.int64,
-                ),
-                outward_transactions=np.array(
-                    [r.outward_transactions if r else 0 for r in at_level],
-                    dtype=np.int64,
-                ),
-                global_words=np.array(
-                    [r.global_words if r else 0.0 for r in at_level],
-                    dtype=float,
-                ),
-                shared_words_per_mp=np.array(
-                    [r.shared_words_per_mp if r else 0.0 for r in at_level],
-                    dtype=float,
-                ),
-                thread_blocks=np.array(
-                    [r.thread_blocks if r else 1 for r in at_level],
-                    dtype=np.int64,
-                ),
-                present=np.array(
-                    [r is not None for r in at_level], dtype=bool
-                ),
-                label=label,
-            ))
-        return cls(sizes=sizes, rounds=rounds, name=name)
-
-    # ------------------------------------------------------------------ #
-    # Validation
-    # ------------------------------------------------------------------ #
-    def validate_against(self, machine: ATGPUMachine) -> None:
-        """Vectorized :meth:`AlgorithmMetrics.validate_against` over the sweep.
-
-        Raises :class:`CapacityError` naming the first offending size when
-        any sweep point exceeds ``G`` or ``M``, with exactly the message the
-        packed :meth:`repro.core.batch.MetricsBatch.validate_against` raises.
-        """
-        max_global = self.max_global_words
-        over_global = np.floor(max_global) > machine.G
-        if np.any(over_global):
-            at = int(np.argmax(over_global))
-            raise CapacityError(
-                f"algorithm {self.name or '<unnamed>'} uses "
-                f"{max_global[at]:.0f} words of global memory at "
-                f"size {self.sizes[at]} but the machine only has "
-                f"G={machine.G}"
-            )
-        max_shared = self.max_shared_words_per_mp
-        over_shared = np.floor(max_shared) > machine.M
-        if np.any(over_shared):
-            at = int(np.argmax(over_shared))
-            raise CapacityError(
-                f"algorithm {self.name or '<unnamed>'} uses "
-                f"{max_shared[at]:.0f} words of shared memory per "
-                f"MP at size {self.sizes[at]} but the machine only has "
-                f"M={machine.M}"
-            )
-
-    def runs_on(self, machine: ATGPUMachine) -> bool:
-        """``True`` when :meth:`validate_against` would not raise."""
-        try:
-            self.validate_against(machine)
-        except CapacityError:
-            return False
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MetricsGrid(name={self.name!r}, sizes={len(self.sizes)}, "
-            f"depth={self.depth})"
-        )
-
-
-def metrics_grid(
-    sizes: Sequence[int],
-    rounds: Iterable[RoundMetricsArrays],
-    name: str = "",
-) -> MetricsGrid:
-    """Convenience constructor for :class:`MetricsGrid` (mirrors the class)."""
-    return MetricsGrid(sizes=sizes, rounds=rounds, name=name)
 
 
 @dataclass

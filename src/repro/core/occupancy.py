@@ -75,48 +75,53 @@ def blocks_per_multiprocessor_grid(
 ):
     """Vectorized twin of :func:`blocks_per_multiprocessor`.
 
-    ``shared_words_per_block`` is an array of per-launch ``m`` values; the
-    return value is an ``int64`` array of ``ℓ`` with the same shape.  Every
-    element follows the scalar function exactly, including the
-    nearest-integer snap for fractional ``m`` (``round`` and ``np.round``
-    both round half to even, so the snap candidates agree bit for bit).
+    ``shared_words_per_block`` is an array of per-launch (or per-round)
+    ``m`` values; the return value is an ``int64`` array of ``ℓ`` with the
+    same shape.  Every element follows the scalar function exactly,
+    including the nearest-integer snap for fractional ``m`` (``round`` and
+    ``np.round`` both round half to even, so the snap candidates agree bit
+    for bit) and the error when a block cannot fit at all.
     """
     ensure_positive_int(shared_memory_capacity, "shared_memory_capacity")
     ensure_positive_int(hardware_block_limit, "hardware_block_limit")
     shared = np.asarray(shared_words_per_block, dtype=float)
-    if np.any(shared < 0):
+    if not (shared >= 0).all():
         raise ValueError("shared_words_per_block must be non-negative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = shared_memory_capacity / shared
-        nearest = np.round(ratio)
-        snap = (nearest > 0) & (np.abs(ratio - nearest) <= 1e-9 * nearest)
-        by_memory = np.where(snap, nearest, np.floor(ratio))
-    zero_shared = shared == 0
-    if np.any(~zero_shared & (by_memory == 0)):
-        bad = shared[~zero_shared & (by_memory == 0)].flat[0]
+    uses_shared = shared > 0
+    ratio = np.divide(
+        float(shared_memory_capacity), shared,
+        out=np.ones_like(shared), where=uses_shared,
+    )
+    nearest = ratio.round()
+    snap = (nearest > 0) & (np.abs(ratio - nearest) <= 1e-9 * nearest)
+    by_memory = np.where(snap, nearest, np.floor(ratio))
+    impossible = by_memory == 0
+    if impossible.any():
         raise ValueError(
-            f"a thread block needs {bad} shared words but the "
-            f"MP only has {shared_memory_capacity}: the kernel cannot run"
+            f"a thread block needs {shared[impossible].flat[0]} shared words "
+            f"but the MP only has {shared_memory_capacity}: the kernel "
+            "cannot run"
         )
-    resident = np.minimum(by_memory, hardware_block_limit)
-    return np.where(zero_shared, hardware_block_limit, resident).astype(np.int64)
+    resident = np.where(uses_shared, by_memory, hardware_block_limit)
+    return np.minimum(resident, hardware_block_limit).astype(np.int64)
 
 
 def wave_count_grid(thread_blocks, physical_mps: int, blocks_per_mp):
     """Vectorized twin of :func:`wave_count` over launch arrays.
 
-    Both array operands must be positive everywhere; ``ceil_div`` dispatches
-    to its ``np.ceil`` branch, which is bit-for-bit identical to the scalar
-    ``math.ceil`` branch element by element.
+    ``ceil_div`` dispatches to its ``np.ceil`` branch, which is bit-for-bit
+    identical to the scalar ``math.ceil`` branch element by element.
+    Unlike the scalar function, a cell with zero thread blocks (an idle
+    device of a topology) prices to zero waves.
     """
     ensure_positive_int(physical_mps, "physical_mps")
-    blocks = np.asarray(thread_blocks, dtype=np.int64)
-    resident = np.asarray(blocks_per_mp, dtype=np.int64)
-    if np.any(blocks <= 0):
-        raise ValueError("thread_blocks must be positive")
-    if np.any(resident <= 0):
+    blocks = np.asarray(thread_blocks)
+    resident = np.asarray(blocks_per_mp)
+    if not (blocks >= 0).all():
+        raise ValueError("thread_blocks must be non-negative")
+    if not (resident > 0).all():
         raise ValueError("blocks_per_mp must be positive")
-    return np.asarray(ceil_div(blocks, physical_mps * resident), dtype=np.int64)
+    return ceil_div(blocks, physical_mps * resident).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from repro.core.backends import (
     backend_label,
     evaluate_backends_batch,
 )
-from repro.core.batch import GridMetricsFactory, MetricsBatch, batch_breakdown
+from repro.core.batch import MetricsBatch, SweepMetricsFactory, batch_breakdown
 from repro.core.cost import CostParameters
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import AlgorithmMetrics
@@ -315,17 +315,17 @@ def predict_sweep(
     parameters: CostParameters,
     occupancy: OccupancyModel,
     backends: Optional[Sequence[str]] = None,
-    grid_factory: Optional[GridMetricsFactory] = None,
+    grid_factory: Optional[SweepMetricsFactory] = None,
 ) -> SweepPrediction:
     """Evaluate the requested cost-model backends over a sweep of sizes.
 
     ``backends`` defaults to :data:`repro.core.backends.DEFAULT_BACKENDS`.
     The sweep's metrics are compiled into one
     :class:`~repro.core.batch.MetricsBatch` — through ``grid_factory`` (the
-    array-native factory: whole size list in, one
-    :class:`~repro.core.metrics.MetricsGrid` out) or ``metrics_factory``
-    (one :class:`~repro.core.metrics.AlgorithmMetrics` per size); exactly
-    one must be given — and priced by :func:`predict_sweep_batch`.
+    array-native factory: whole size list in, the batch out) or
+    ``metrics_factory`` (one :class:`~repro.core.metrics.AlgorithmMetrics`
+    per size); exactly one must be given — and priced by
+    :func:`predict_sweep_batch`.
     """
     batch = MetricsBatch.compile(
         algorithm, sizes, metrics_factory, grid_factory=grid_factory

@@ -39,14 +39,16 @@ from repro.core.batch import (
     BatchBreakdown,
     MetricsBatch,
     _column_sum,
-    blocks_per_mp_grid,
     sharded_cost_batch,
-    wave_grid,
 )
 from repro.core.cost import ATGPUCostModel, CostBreakdown, CostParameters
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import AlgorithmMetrics, RoundMetrics
-from repro.core.occupancy import OccupancyModel
+from repro.core.occupancy import (
+    OccupancyModel,
+    blocks_per_multiprocessor_grid,
+    wave_count_grid,
+)
 from repro.core.topology import (
     Topology,
     contended_streaming,
@@ -796,10 +798,10 @@ def topology_cost_batch(
         )
         # Zero-block cells price to exact zeros (zero waves, zero I/O
         # share), matching the scalar model's idle-device fast path.
-        ell = blocks_per_mp_grid(
+        ell = blocks_per_multiprocessor_grid(
             mach.M, batch.shared_words_per_mp, occ.hardware_block_limit
         )
-        waves = wave_grid(block_shards[device], occ.physical_mps, ell)
+        waves = wave_count_grid(block_shards[device], occ.physical_mps, ell)
         compute[device] = waves * batch.time / params.gamma
         io_share = block_shards[device] / batch.thread_blocks
         io[device] = (

@@ -119,21 +119,19 @@ class RequestQueue:
     ``put`` enqueues under the bounds; ``take`` blocks until a group is
     available, asks the scheduling policy to choose one, and removes the
     whole group atomically (that removal *is* the coalescing decision —
-    everything pending under the chosen key dispatches together).  With
-    ``merge_groups`` (the default), the take additionally absorbs every
-    other pending key of the same algorithm and mode whose specs are
-    :func:`~repro.experiments.session.mergeable` with the chosen group —
-    equal-machine presets then share the dispatched union compile instead
-    of waiting for their own turn.  The admitted-size account is only
-    credited back via :meth:`task_done`, so in-flight work keeps exerting
-    backpressure until it completes.
+    everything pending under the chosen key dispatches together).  The take
+    additionally absorbs every other pending key of the same algorithm and
+    mode whose specs are :func:`~repro.experiments.session.mergeable` with
+    the chosen group — equal-machine presets then share the dispatched
+    union compile instead of waiting for their own turn.  The admitted-size
+    account is only credited back via :meth:`task_done`, so in-flight work
+    keeps exerting backpressure until it completes.
     """
 
     def __init__(
         self,
         max_queue_depth: int = 256,
         max_inflight_sizes: int = 1_000_000,
-        merge_groups: bool = True,
     ) -> None:
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be at least 1")
@@ -141,7 +139,6 @@ class RequestQueue:
             raise ValueError("max_inflight_sizes must be at least 1")
         self.max_queue_depth = max_queue_depth
         self.max_inflight_sizes = max_inflight_sizes
-        self.merge_groups = merge_groups
         self._pending: Dict[
             Tuple[str, str, str, str], List[PredictionRequest]
         ] = {}
@@ -222,9 +219,9 @@ class RequestQueue:
         policy's ``select`` and ``record_dispatch`` run under the queue lock
         — policies are cheap orderings, and this keeps their internal
         accounting (e.g. fair-share service totals) atomic with the
-        dispatch decision.  With :attr:`merge_groups`, other pending keys
-        mergeable with the chosen one ride along in the returned group
-        (still under the chosen key, whose mode every rider shares).
+        dispatch decision.  Other pending keys mergeable with the chosen one
+        ride along in the returned group (still under the chosen key, whose
+        mode every rider shares).
         """
         with self._condition:
             while not self._pending:
@@ -244,7 +241,7 @@ class RequestQueue:
                     f"{chosen.key!r} that is not pending"
                 )
             requests = self._pending.pop(chosen.key)
-            if self.merge_groups and self._pending:
+            if self._pending:
                 # Imported lazily: the session layer imports serving-free
                 # modules only, but keeping queue.py import-light at module
                 # load avoids any future cycle through repro.experiments.

@@ -170,7 +170,7 @@ class KernelTimingGrid:
     """Timing results for a grid of kernel launches (launches × sizes).
 
     The batched analogue of :class:`KernelTiming`: every field is an array
-    over the grid, mirroring how ``MetricsGrid`` holds rounds × sizes cost
+    over the grid, mirroring how ``MetricsBatch`` holds rounds × sizes cost
     inputs.  Elements are bit-for-bit equal to what the scalar
     :meth:`TimingEngine.kernel_timing` produces for the corresponding launch.
     """

@@ -68,11 +68,11 @@ def ensure_positive(value: float, name: str) -> float:
 
 
 def ensure_non_negative(value: float, name: str) -> float:
-    """Return ``value`` if it is a real number >= 0."""
+    """Return ``value`` if it is a real number >= 0 (NaN is rejected)."""
     if type(value) is not float and type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, Real):
             raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return float(value)
 
@@ -107,19 +107,20 @@ def ensure_in_range(
     """Return ``value`` if it lies inside ``[low, high]`` (or ``(low, high)``).
 
     ``low`` / ``high`` may be ``None`` to leave the corresponding side
-    unbounded.
+    unbounded.  Each bound is tested as the condition that must hold, so
+    NaN fails every bound.
     """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     if low is not None:
-        if inclusive and value < low:
+        if inclusive and not value >= low:
             raise ValueError(f"{name} must be >= {low}, got {value!r}")
-        if not inclusive and value <= low:
+        if not inclusive and not value > low:
             raise ValueError(f"{name} must be > {low}, got {value!r}")
     if high is not None:
-        if inclusive and value > high:
+        if inclusive and not value <= high:
             raise ValueError(f"{name} must be <= {high}, got {value!r}")
-        if not inclusive and value >= high:
+        if not inclusive and not value < high:
             raise ValueError(f"{name} must be < {high}, got {value!r}")
     return float(value)
 

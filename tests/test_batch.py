@@ -15,7 +15,6 @@ import pytest
 from repro.algorithms import MatrixMultiplication, Reduction, VectorAddition
 from repro.core.backends import (
     backend_supports_batch,
-    evaluate_backends_batch,
     get_backend,
     make_async_backend,
     make_backend,
@@ -27,7 +26,6 @@ from repro.core.batch import (
     MetricsBatch,
     agpu_time_batch,
     batch_breakdown,
-    blocks_per_mp_grid,
     gpu_cost_batch,
     overlapped_cost_batch,
     perfect_cost_batch,
@@ -119,40 +117,6 @@ class TestMetricsBatchPacking:
             assert np.all(batch.time[depth:, col] == 0.0)
             assert np.all(batch.thread_blocks[depth:, col] == 1.0)
 
-    def test_materializes_per_size_metrics_on_demand(self):
-        algo = VectorAddition()
-        batch = algo.compile_batch([100, 200], preset=GTX_650)
-        # Grid-compiled batches build no per-size metrics eagerly; the
-        # scalar-fallback view materialises them from the grid columns.
-        assert batch.metrics == ()
-        assert batch.grid is not None
-        materialized = batch.materialized_metrics()
-        assert len(materialized) == 2
-        assert all(isinstance(m, AlgorithmMetrics) for m in materialized)
-        for n, m in zip([100, 200], materialized):
-            scalar = algo.metrics(n, GTX_650.machine)
-            assert len(m) == len(scalar)
-            for got, want in zip(m, scalar):
-                assert got.time == want.time
-                assert got.io_blocks == want.io_blocks
-                assert got.inward_words == want.inward_words
-                assert got.outward_words == want.outward_words
-                assert got.inward_transactions == want.inward_transactions
-                assert got.outward_transactions == want.outward_transactions
-                assert got.global_words == want.global_words
-                assert got.shared_words_per_mp == want.shared_words_per_mp
-                assert got.thread_blocks == want.thread_blocks
-
-    def test_from_metrics_retains_per_size_metrics(self):
-        algo = VectorAddition()
-        machine = GTX_650.machine
-        sizes = [100, 200]
-        batch = MetricsBatch.from_metrics(
-            sizes, [algo.metrics(n, machine) for n in sizes]
-        )
-        assert len(batch.metrics) == 2
-        assert batch.materialized_metrics() == batch.metrics
-
     def test_select_columns(self):
         algo = Reduction()
         sizes = SWEEP_SIZES["reduction"]
@@ -166,6 +130,11 @@ class TestMetricsBatchPacking:
             gpu_cost_batch(direct, GTX_650.machine, GTX_650.parameters,
                            GTX_650.occupancy),
         )
+        # Selection keeps every row, padding included; the real rounds of
+        # each column are those of the direct compile.
+        assert sub.depth == batch.depth
+        for col in range(2):
+            assert list(sub.metrics_at(col)) == list(direct.metrics_at(col))
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -174,7 +143,9 @@ class TestMetricsBatchPacking:
         with pytest.raises(ValueError):
             batch.select([])
         with pytest.raises(ValueError):
-            MetricsBatch.from_metrics([1, 2], list(batch.metrics))
+            MetricsBatch.from_metrics([1, 2], [batch.metrics_at(0)])
+        with pytest.raises(ValueError):
+            MetricsBatch.from_metrics([], [])
 
     def test_validate_against_matches_scalar(self, machine):
         algo = VectorAddition()
@@ -186,17 +157,6 @@ class TestMetricsBatchPacking:
             batch.validate_against(machine)
         assert not batch.runs_on(machine)
         assert fits.runs_on(GTX_650.machine)
-
-    def test_blocks_per_mp_grid_matches_scalar_epsilon_logic(self):
-        from repro.core.occupancy import blocks_per_multiprocessor
-
-        values = np.array([[0.0, 0.1, 7.0], [3.0, 10.0, 9.999999999]])
-        grid = blocks_per_mp_grid(10, values, 16)
-        for index in np.ndindex(values.shape):
-            expected = blocks_per_multiprocessor(10, float(values[index]), 16)
-            assert grid[index] == expected
-        with pytest.raises(ValueError, match="cannot run"):
-            blocks_per_mp_grid(10, np.array([11.0]), 16)
 
 
 class TestBackendParity:
@@ -416,39 +376,6 @@ class TestEvaluateBackendsBatch:
         batch = VectorAddition().compile_batch([100], preset=GTX_650)
         with pytest.raises(ValueError, match="no batch evaluation"):
             plain.batch_cost(batch, machine, parameters, occupancy)
-
-    def test_fallback_requires_retained_metrics(self):
-        plain = make_backend("test-batch-plain2", "plain",
-                             lambda metrics, m, p, o: 1.0)
-        register_backend(plain)
-        try:
-            full = VectorAddition().compile_batch([100, 200], preset=GTX_650)
-            stripped = MetricsBatch(
-                algorithm=full.algorithm, sizes=full.sizes,
-                round_counts=full.round_counts, mask=full.mask,
-                time=full.time, io_blocks=full.io_blocks,
-                inward_words=full.inward_words,
-                outward_words=full.outward_words,
-                inward_transactions=full.inward_transactions,
-                outward_transactions=full.outward_transactions,
-                shared_words_per_mp=full.shared_words_per_mp,
-                thread_blocks=full.thread_blocks,
-                max_global_words=full.max_global_words,
-                max_shared_words=full.max_shared_words,
-                metrics=(),
-            )
-            values = evaluate_backends_batch(
-                ("test-batch-plain2",), full, GTX_650.machine,
-                GTX_650.parameters, GTX_650.occupancy,
-            )
-            assert np.array_equal(values["test-batch-plain2"], [1.0, 1.0])
-            with pytest.raises(ValueError, match="retains no per-size"):
-                evaluate_backends_batch(
-                    ("test-batch-plain2",), stripped, GTX_650.machine,
-                    GTX_650.parameters, GTX_650.occupancy,
-                )
-        finally:
-            unregister_backend("test-batch-plain2")
 
     def test_async_and_shard_variants_parity(self):
         """The STREAM_CHUNK_SWEEP / SHARD_COUNT_SWEEP backend variants.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +23,9 @@ from repro.core.metrics import AlgorithmMetrics, RoundMetrics
 from repro.core.occupancy import (
     OccupancyModel,
     blocks_per_multiprocessor,
+    blocks_per_multiprocessor_grid,
     wave_count,
+    wave_count_grid,
 )
 from repro.core.transfer import (
     BoyerTransferModel,
@@ -168,6 +171,23 @@ class TestOccupancy:
         assert blocks_per_multiprocessor(
             2_000_000_000, 1, 10**12
         ) == 2_000_000_000
+
+    def test_blocks_per_multiprocessor_grid_matches_scalar_epsilon_logic(self):
+        values = np.array([[0.0, 0.1, 7.0], [3.0, 10.0, 9.999999999]])
+        grid = blocks_per_multiprocessor_grid(10, values, 16)
+        for index in np.ndindex(values.shape):
+            expected = blocks_per_multiprocessor(10, float(values[index]), 16)
+            assert grid[index] == expected
+        with pytest.raises(ValueError, match="cannot run"):
+            blocks_per_multiprocessor_grid(10, np.array([11.0]), 16)
+
+    def test_wave_count_grid_prices_idle_cells_to_zero_waves(self):
+        # A topology gives an idle device zero blocks; the scalar function
+        # rejects zero, the grid prices it to zero waves.
+        waves = wave_count_grid(np.array([0.0, 1.0, 17.0]), 2, np.array([8] * 3))
+        assert waves.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="non-negative"):
+            wave_count_grid(np.array([-1.0]), 2, np.array([8]))
 
     def test_wave_count_ceiling(self):
         assert wave_count(100, 2, 8) == math.ceil(100 / 16)

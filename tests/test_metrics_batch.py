@@ -1,9 +1,10 @@
-"""Tests for the array-native metrics layer (``MetricsGrid`` et al.).
+"""Tests for the array-native metrics layer (``metrics_batch`` factories,
+``round_arrays`` rows and ``MetricsBatch.from_rounds``).
 
 The contract under test is *exact equality*: for every built-in algorithm
 the vectorized ``metrics_batch`` factory must describe precisely the same
 workload as calling the scalar ``metrics`` factory once per size — every
-per-round field, every packed batch grid, every capacity-validation error
+per-round field, every packed batch array, every capacity-validation error
 (same message, same first offending size).
 """
 
@@ -24,15 +25,7 @@ from repro.algorithms import (
     VectorAddition,
 )
 from repro.core.batch import MetricsBatch
-from repro.core.metrics import (
-    AlgorithmMetrics,
-    CapacityError,
-    MetricsGrid,
-    RoundMetrics,
-    metrics_grid,
-    round_arrays,
-    size_vector,
-)
+from repro.core.metrics import CapacityError, round_arrays, size_vector
 from repro.core.presets import GTX_650, GTX_980
 from repro.experiments import ExperimentSpec
 
@@ -43,12 +36,12 @@ ALGORITHMS = [
 
 PRESETS = [GTX_650, GTX_980]
 
-#: Batch grids that must be identical between the two compilation paths.
+#: Batch arrays that must be identical between the two compilation paths.
 BATCH_FIELDS = (
     "round_counts", "mask", "time", "io_blocks", "inward_words",
     "outward_words", "inward_transactions", "outward_transactions",
-    "shared_words_per_mp", "thread_blocks", "max_global_words",
-    "max_shared_words",
+    "global_words", "shared_words_per_mp", "thread_blocks",
+    "max_global_words", "max_shared_words",
 )
 
 #: Scalar per-round fields compared for exact equality.
@@ -70,16 +63,19 @@ def scalar_batch(algorithm, sizes, preset) -> MetricsBatch:
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
 @pytest.mark.parametrize("algorithm_cls", ALGORITHMS)
 class TestVectorizedFactoryParity:
-    def test_grid_matches_scalar_metrics_exactly(self, algorithm_cls, preset):
-        """Every per-round field of the grid equals the scalar factory's."""
+    def test_batch_matches_scalar_metrics_exactly(self, algorithm_cls, preset):
+        """Every per-round field of the batch equals the scalar factory's."""
         algo = algorithm_cls()
         sizes = algo.default_sizes()
-        grid = algo.metrics_batch(sizes, preset.machine)
-        assert tuple(grid.sizes) == tuple(sizes)
+        batch = algo.metrics_batch(sizes, preset.machine)
+        assert isinstance(batch, MetricsBatch)
+        assert batch.sizes == tuple(sizes)
         for col, n in enumerate(sizes):
             scalar = algo.metrics(n, preset.machine)
-            assert int(grid.round_counts[col]) == len(scalar)
-            materialized = grid.metrics_at(col)
+            assert int(batch.round_counts[col]) == len(scalar)
+            materialized = batch.metrics_at(col)
+            assert len(materialized) == len(scalar)
+            assert materialized.name == scalar.name
             for got, want in zip(materialized, scalar):
                 for name in ROUND_FIELDS:
                     assert getattr(got, name) == getattr(want, name), (
@@ -87,15 +83,15 @@ class TestVectorizedFactoryParity:
                     )
 
     def test_packed_batches_identical(self, algorithm_cls, preset):
-        """Grid-compiled and scalar-compiled batches agree on every array."""
+        """Factory-built and scalar-packed batches agree on every array."""
         algo = algorithm_cls()
         assert algo.supports_metrics_batch
         sizes = algo.default_sizes()
-        via_grid = algo.compile_batch(sizes, preset=preset)
+        via_factory = algo.compile_batch(sizes, preset=preset)
         via_scalar = scalar_batch(algo, sizes, preset)
         for name in BATCH_FIELDS:
             assert np.array_equal(
-                getattr(via_grid, name), getattr(via_scalar, name)
+                getattr(via_factory, name), getattr(via_scalar, name)
             ), (algo.name, name)
 
     def test_predict_sweep_paths_bitwise_equal(self, algorithm_cls, preset):
@@ -143,19 +139,15 @@ class TestCapacityValidationParity:
         with pytest.raises(CapacityError) as scalar_exc:
             algo.metrics(too_big, machine).validate_against(machine)
 
-        grid = algo.metrics_batch(sizes, machine)
-        with pytest.raises(CapacityError) as grid_exc:
-            grid.validate_against(machine)
-        via_grid = algo.compile_batch(sizes, preset=preset)
+        via_factory = algo.metrics_batch(sizes, machine)
         with pytest.raises(CapacityError) as batch_exc:
-            via_grid.validate_against(machine)
+            via_factory.validate_against(machine)
         via_scalar = scalar_batch(algo, sizes, preset)
         with pytest.raises(CapacityError) as scalar_batch_exc:
             via_scalar.validate_against(machine)
 
-        # Grid, grid-compiled batch and scalar-compiled batch agree to the
-        # byte, and they name the first offending size.
-        assert str(grid_exc.value) == str(batch_exc.value)
+        # Factory-built and scalar-packed batches agree to the byte, and
+        # they name the first offending size.
         assert str(batch_exc.value) == str(scalar_batch_exc.value)
         assert f"at size {too_big} " in str(batch_exc.value)
         assert f"at size {bigger} " not in str(batch_exc.value)
@@ -186,13 +178,13 @@ class TestCapacityValidationParity:
             shared_words_per_mp=np.array([1.0, 1e9, 2e9]),
             thread_blocks=1,
         )]
-        grid = metrics_grid([10, 20, 30], rounds, name="demo")
+        batch = MetricsBatch.from_rounds([10, 20, 30], rounds, algorithm="demo")
         with pytest.raises(CapacityError, match="shared memory") as exc:
-            grid.validate_against(GTX_650.machine)
+            batch.validate_against(GTX_650.machine)
         assert "at size 20 " in str(exc.value)
 
 
-class TestMetricsGridStructure:
+class TestFromRoundsStructure:
     def test_round_arrays_broadcasts_scalars(self):
         r = round_arrays(4, time=2.0, io_blocks=1, thread_blocks=3)
         assert r.time.shape == (4,)
@@ -217,94 +209,75 @@ class TestMetricsGridStructure:
         )
         assert list(r.present) == [True, False]
 
-    def test_grid_requires_top_aligned_presence(self):
+    def test_from_rounds_requires_top_aligned_presence(self):
         first = round_arrays(2, time=1.0, io_blocks=0.0,
                              present=[True, False])
         second = round_arrays(2, time=1.0, io_blocks=0.0,
                               present=[False, True])
         with pytest.raises(ValueError, match="top-aligned"):
-            metrics_grid([1, 2], [first, second])
+            MetricsBatch.from_rounds([1, 2], [first, second])
 
-    def test_grid_requires_at_least_one_round_per_size(self):
+    def test_from_rounds_requires_at_least_one_round_per_size(self):
         empty_col = round_arrays(2, time=1.0, io_blocks=0.0,
                                  present=[True, False])
         with pytest.raises(ValueError, match="no rounds"):
-            metrics_grid([1, 2], [empty_col])
+            MetricsBatch.from_rounds([1, 2], [empty_col])
         with pytest.raises(ValueError, match="at least one input size"):
-            metrics_grid([], [])
+            MetricsBatch.from_rounds([], [])
         with pytest.raises(ValueError, match="at least one round"):
-            metrics_grid([1], [])
+            MetricsBatch.from_rounds([1], [])
 
-    def test_grid_rejects_mismatched_round_width(self):
+    def test_from_rounds_rejects_mismatched_round_width(self):
         narrow = round_arrays(2, time=1.0, io_blocks=0.0)
         with pytest.raises(ValueError, match="covers 2 sizes"):
-            metrics_grid([1, 2, 3], [narrow])
+            MetricsBatch.from_rounds([1, 2, 3], [narrow])
 
-    def test_aggregates_match_scalar(self):
+    def test_capacity_maxima_match_scalar(self):
         algo = Reduction()
         machine = GTX_650.machine
         sizes = [1 << 12, 1 << 16, 1 << 20]
-        grid = algo.metrics_batch(sizes, machine)
+        batch = algo.metrics_batch(sizes, machine)
         for col, n in enumerate(sizes):
             scalar = algo.metrics(n, machine)
-            assert grid.total_time[col] == scalar.total_time
-            assert grid.total_io_blocks[col] == scalar.total_io_blocks
-            assert grid.total_transfer_words[col] \
-                == scalar.total_transfer_words
-            assert grid.max_global_words[col] == scalar.max_global_words
-            assert grid.max_shared_words_per_mp[col] \
+            assert batch.max_global_words[col] == scalar.max_global_words
+            assert batch.max_shared_words[col] \
                 == scalar.max_shared_words_per_mp
 
-    def test_select_columns(self):
+    def test_select_keeps_per_size_metrics(self):
         algo = Reduction()
         machine = GTX_650.machine
         sizes = [1 << 12, 1 << 16, 1 << 20]
-        grid = algo.metrics_batch(sizes, machine)
-        sub = grid.select([2, 0])
-        assert sub.sizes == (sizes[2], sizes[0])
-        # Rounds absent everywhere in the selection are dropped.
-        shallow = grid.select([0])
-        assert shallow.depth == int(grid.round_counts[0])
-        with pytest.raises(ValueError):
-            grid.select([])
-        direct = algo.metrics_batch([sizes[2], sizes[0]], machine)
-        for round_sub, round_direct in zip(sub, direct):
-            assert np.array_equal(round_sub.time, round_direct.time)
-            assert np.array_equal(round_sub.present, round_direct.present)
-
-    def test_batch_select_propagates_grid(self):
-        algo = Reduction()
-        batch = algo.compile_batch([1 << 12, 1 << 16, 1 << 20],
-                                   preset=GTX_650)
-        sub = batch.select([1])
-        assert sub.grid is not None
-        assert sub.grid.sizes == (1 << 16,)
-        assert len(sub.materialized_metrics()) == 1
+        sub = algo.metrics_batch(sizes, machine).select([1])
+        assert sub.sizes == (1 << 16,)
+        rebuilt = sub.metrics_at(0)
+        scalar = algo.metrics(1 << 16, machine)
+        assert len(rebuilt) == len(scalar)
+        for got, want in zip(rebuilt, scalar):
+            for name in ROUND_FIELDS:
+                assert getattr(got, name) == getattr(want, name)
 
     def test_from_metrics_column_packing_roundtrip(self):
         algo = Reduction()
         machine = GTX_650.machine
         sizes = [1 << 10, 1 << 18]
         metrics_list = [algo.metrics(n, machine) for n in sizes]
-        grid = MetricsGrid.from_metrics(sizes, metrics_list)
-        assert grid.name == algo.name
+        batch = MetricsBatch.from_metrics(sizes, metrics_list)
+        assert batch.algorithm == algo.name
         for col in range(len(sizes)):
-            rebuilt = grid.metrics_at(col)
+            rebuilt = batch.metrics_at(col)
             for got, want in zip(rebuilt, metrics_list[col]):
                 for name in ROUND_FIELDS:
                     assert getattr(got, name) == getattr(want, name)
         with pytest.raises(ValueError, match="2 sizes but 1"):
-            MetricsGrid.from_metrics(sizes, metrics_list[:1])
+            MetricsBatch.from_metrics(sizes, metrics_list[:1])
 
-    def test_metrics_at_rejects_absent_round(self):
+    def test_metrics_at_skips_absent_rounds(self):
         r = round_arrays(2, time=1.0, io_blocks=0.0, present=[True, True])
         ragged = round_arrays(2, time=1.0, io_blocks=0.0,
                               present=[True, False])
-        grid = metrics_grid([1, 2], [r, ragged])
-        assert len(grid.metrics_at(0)) == 2
-        assert len(grid.metrics_at(1)) == 1
-        with pytest.raises(ValueError, match="absent"):
-            ragged.round_at(1)
+        batch = MetricsBatch.from_rounds([1, 2], [r, ragged])
+        assert len(batch.metrics_at(0)) == 2
+        assert len(batch.metrics_at(1)) == 1
 
 
 class TestDefaultScalarLoopFallback:
@@ -319,15 +292,13 @@ class TestDefaultScalarLoopFallback:
         custom = self._Custom()
         assert not custom.supports_metrics_batch
         sizes = [1_000, 250_000]
-        grid = custom.metrics_batch(sizes, GTX_650.machine)
-        assert isinstance(grid, MetricsGrid)
+        batch = custom.metrics_batch(sizes, GTX_650.machine)
+        assert isinstance(batch, MetricsBatch)
         reference = VectorAddition().metrics_batch(sizes, GTX_650.machine)
-        for round_got, round_want in zip(grid, reference):
-            for name in ROUND_FIELDS:
-                assert np.array_equal(
-                    getattr(round_got, name).astype(float),
-                    getattr(round_want, name).astype(float),
-                )
+        for name in BATCH_FIELDS:
+            assert np.array_equal(
+                getattr(batch, name), getattr(reference, name)
+            ), name
 
     def test_default_predict_sweep_still_batches(self):
         custom = self._Custom()
@@ -405,7 +376,11 @@ class TestCompileEntryPoints:
 
     def test_all_registered_algorithms_ship_vectorized_factories(self):
         for name, factory in ALL_ALGORITHMS.items():
-            assert factory().supports_metrics_batch, name
+            algo = factory()
+            assert algo.supports_metrics_batch, name
+            assert isinstance(
+                algo.metrics_batch([64], GTX_650.machine), MetricsBatch
+            ), name
 
     def test_non_positive_sizes_rejected_like_scalar(self):
         machine = GTX_650.machine

@@ -288,11 +288,3 @@ class TestRequestQueueMerging:
         self._put(queue, self._twin_spec(), mode="result")
         group = queue.take(FIFOPolicy())
         assert len(group.requests) == 1
-
-    def test_merge_opt_out(self):
-        queue = RequestQueue(merge_groups=False)
-        self._put(queue, ExperimentSpec("vector_addition", sizes=[64]))
-        self._put(queue, self._twin_spec())
-        group = queue.take(FIFOPolicy())
-        assert len(group.requests) == 1
-        assert queue.depth == 1

@@ -257,6 +257,15 @@ class TestAsyncBackend:
             chunks=1,
         ) == pytest.approx(serial)
 
+    @pytest.mark.parametrize("chunks,error", [
+        (0, ValueError), (-1, ValueError), (2.5, TypeError), (True, TypeError),
+    ])
+    def test_make_async_backend_rejects_bad_chunks(self, chunks, error):
+        before = backend_names()
+        with pytest.raises(error, match="chunks"):
+            register_backend(make_async_backend(chunks))
+        assert backend_names() == before
+
     def test_make_async_backend_variants(self):
         backend = make_async_backend(8)
         assert backend.name == "atgpu-async8"

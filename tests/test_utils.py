@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.backends import make_sharded_backend
+from repro.core.cost import CostParameters
+from repro.core.metrics import RoundMetrics, round_arrays
+from repro.core.topology import LinkSpec, Topology
+from repro.simulator.device_pool import DevicePool
 from repro.utils.stats import (
     POSITIVE_TOTALS_MESSAGE,
     average,
@@ -96,6 +103,53 @@ class TestValidation:
     @given(st.integers(min_value=0, max_value=20))
     def test_power_of_two_property(self, exponent):
         assert ensure_power_of_two(1 << exponent, "x") == 1 << exponent
+
+
+NAN = float("nan")
+
+
+def _cost_parameters(**nan_field):
+    values = dict(gamma=1.0, lam=1.0, sigma=1.0, alpha=1.0, beta=1.0)
+    return CostParameters(**{**values, **nan_field})
+
+
+#: Constructors that must reject a NaN argument, with the field it names.
+NAN_CONSTRUCTORS = {
+    "CostParameters.alpha": (lambda: _cost_parameters(alpha=NAN), "alpha"),
+    "CostParameters.lam": (lambda: _cost_parameters(lam=NAN), "lam"),
+    "CostParameters.sigma": (lambda: _cost_parameters(sigma=NAN), "sigma"),
+    "CostParameters.beta": (lambda: _cost_parameters(beta=NAN), "beta"),
+    "RoundMetrics.time": (
+        lambda: RoundMetrics(time=NAN, io_blocks=0.0), "time",
+    ),
+    "round_arrays.time": (
+        lambda: round_arrays(2, time=[1.0, NAN], io_blocks=0.0), "time",
+    ),
+    "LinkSpec.contention": (lambda: LinkSpec(contention=NAN), "contention"),
+    "Topology.homogeneous": (
+        lambda: Topology.homogeneous(2, NAN), "contention",
+    ),
+    "Topology.from_dict": (
+        lambda: Topology.from_dict(json.loads(
+            json.dumps(Topology.homogeneous(2, 0.5).to_dict())
+            .replace('"contention": 0.5', '"contention": NaN')
+        )),
+        "contention",
+    ),
+    "make_sharded_backend": (
+        lambda: make_sharded_backend(2, NAN), "contention",
+    ),
+    "DevicePool.contention": (
+        lambda: DevicePool(2, contention=NAN), "contention",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CONSTRUCTORS))
+def test_nan_rejected_at_construction(case):
+    build, field = NAN_CONSTRUCTORS[case]
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 class TestUnits:
