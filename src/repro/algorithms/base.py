@@ -31,7 +31,7 @@ from repro.core.prediction import (
     predict_sweep,
 )
 from repro.core.presets import DEFAULT_PRESET, GPUPreset
-from repro.core.topology import Topology, plan_bounds
+from repro.core.topology import Topology, plan_bounds, resolve_fleet
 from repro.pseudocode.program import Program
 from repro.simulator.batch import (
     ShardedSweepObservation,
@@ -72,30 +72,29 @@ def chunk_bounds(n: int, chunks: int) -> List[tuple]:
 
 def sharded_pool(
     config: DeviceConfig,
-    devices: int,
-    contention: float,
-    topology: Optional[Topology],
+    devices: Optional[int] = None,
+    contention: Optional[float] = None,
+    topology: Optional[Topology] = None,
 ) -> DevicePool:
     """The device pool every sharded run schedules against.
 
-    Without a topology: a homogeneous pool of ``devices`` over one link
-    with the given ``contention``.  With one: a topology-driven pool
-    (per-socket link stretch).
+    Its fleet is :func:`~repro.core.topology.resolve_fleet`'s: a
+    ``(devices, contention)`` pair is ``Topology.homogeneous(devices,
+    contention)``, so every pool applies per-socket link stretch.
     """
-    if topology is None:
-        return DevicePool(devices, config=config, contention=contention)
-    return DevicePool(config=config, topology=topology)
+    return DevicePool(
+        config=config, topology=resolve_fleet(devices, contention, topology)
+    )
 
 
 def shard_bounds(pool: DevicePool, n: int) -> List[tuple]:
     """``[lo, hi)`` shard of each device of a :func:`sharded_pool`.
 
-    The near-equal :func:`chunk_bounds` split for a homogeneous pool; the
-    throughput-weighted :func:`~repro.core.topology.plan_bounds` split for
-    a topology, whose zero-width bounds mark devices the planner left idle.
+    The throughput-weighted :func:`~repro.core.topology.plan_bounds`
+    split, one bound per device; zero-width bounds mark devices the
+    planner left idle.  Equal weights split near-evenly, as
+    :func:`chunk_bounds` does.
     """
-    if pool.topology is None:
-        return chunk_bounds(n, pool.num_devices)
     return plan_bounds(n, pool.topology.throughputs())
 
 
@@ -393,19 +392,19 @@ class GPUAlgorithm(abc.ABC):
         self,
         device: GPUDevice,
         inputs: Dict[str, np.ndarray],
-        devices: int = 2,
-        contention: float = 0.0,
+        devices: Optional[int] = None,
+        contention: Optional[float] = None,
         pinned: bool = False,
         topology: Optional["Topology"] = None,
     ) -> ShardedRunResult:
         """Sharded execution across a multi-device pool.
 
-        Splits the workload into ``devices`` shards, each on its own device
-        of a :class:`~repro.simulator.device_pool.DevicePool` (one shared
-        host link with the given ``contention``), and reports the straggler
-        makespan alongside the serial single-device sum.  ``topology``
-        replaces ``devices`` / ``contention`` with a full
-        :class:`~repro.core.topology.Topology`: shards are sized by
+        Splits the workload into one shard per device of a
+        :class:`~repro.simulator.device_pool.DevicePool` and reports the
+        straggler makespan alongside the serial single-device sum.  The
+        fleet is ``topology``, or ``Topology.homogeneous(devices,
+        contention)`` without one (two uncontended devices by default; see
+        :func:`~repro.core.topology.resolve_fleet`): shards are sized by
         per-device throughput (:func:`shard_bounds`) and the pool applies
         per-socket link stretch.  The schedule is the algorithm's
         :meth:`sim_shard_plan`, played back onto the pool
@@ -413,13 +412,13 @@ class GPUAlgorithm(abc.ABC):
         from :meth:`schedule_outputs`.  ``device`` supplies the per-device
         configuration.
         """
+        fleet = resolve_fleet(devices, contention, topology)
         n, outputs = self.schedule_outputs(device, inputs)
         plan = self.sim_shard_plan(
-            n, device.config, devices=devices, contention=contention,
-            pinned=pinned, topology=topology,
+            n, device.config, pinned=pinned, topology=fleet
         )
         pool = play_shard_plan(
-            plan, sharded_pool(device.config, devices, contention, topology)
+            plan, sharded_pool(device.config, topology=fleet)
         )
         return ShardedRunResult(
             outputs=outputs, device_count=pool.num_devices, pool=pool
@@ -472,8 +471,8 @@ class GPUAlgorithm(abc.ABC):
         self,
         n: int,
         config: DeviceConfig,
-        devices: int = 2,
-        contention: float = 0.0,
+        devices: Optional[int] = None,
+        contention: Optional[float] = None,
         pinned: bool = False,
         topology: Optional["Topology"] = None,
     ) -> ShardPlan:
@@ -481,7 +480,9 @@ class GPUAlgorithm(abc.ABC):
 
         Returns a :class:`~repro.simulator.batch.ShardPlan` listing each
         device's operations (shard bounds from :func:`shard_bounds`, link
-        stretches from :func:`sharded_pool`).  This is the only description
+        stretches from :func:`sharded_pool`, whose fleet
+        :func:`~repro.core.topology.resolve_fleet` resolves from
+        ``devices``/``contention``/``topology``).  This is the only description
         of the schedule: :meth:`run_sharded` plays one plan back and
         :meth:`observe_sharded_sweep` replays a sweep of them as array
         programs.
@@ -507,18 +508,18 @@ class GPUAlgorithm(abc.ABC):
         self,
         n: int,
         config: Optional[DeviceConfig] = None,
-        devices: int = 2,
-        contention: float = 0.0,
+        devices: Optional[int] = None,
+        contention: Optional[float] = None,
         seed: int = 0,
         pinned: bool = False,
         topology: Optional["Topology"] = None,
     ) -> ShardedRunResult:
         """Run the sharded mode at size ``n`` on a fresh device pool."""
+        fleet = resolve_fleet(devices, contention, topology)
         device = GPUDevice(config or DeviceConfig.gtx650())
         inputs = self.generate_input(n, seed=seed)
         return self.run_sharded(
-            device, inputs, devices=devices, contention=contention,
-            pinned=pinned, topology=topology,
+            device, inputs, pinned=pinned, topology=fleet
         )
 
     def observe(
@@ -585,8 +586,8 @@ class GPUAlgorithm(abc.ABC):
         self,
         sizes: Optional[Sequence[int]] = None,
         config: Optional[DeviceConfig] = None,
-        devices: int = 2,
-        contention: float = 0.0,
+        devices: Optional[int] = None,
+        contention: Optional[float] = None,
         pinned: bool = False,
         topology: Optional["Topology"] = None,
     ) -> ShardedSweepObservation:

@@ -411,8 +411,8 @@ class Reduction(GPUAlgorithm):
         self,
         n,
         config,
-        devices: int = 2,
-        contention: float = 0.0,
+        devices: Optional[int] = None,
+        contention: Optional[float] = None,
         pinned: bool = False,
         topology: Optional[Topology] = None,
     ) -> ShardPlan:

@@ -329,8 +329,8 @@ class VectorAddition(GPUAlgorithm):
         self,
         n: int,
         config,
-        devices: int = 2,
-        contention: float = 0.0,
+        devices: Optional[int] = None,
+        contention: Optional[float] = None,
         pinned: bool = False,
         topology: Optional[Topology] = None,
     ) -> ShardPlan:
@@ -343,7 +343,8 @@ class VectorAddition(GPUAlgorithm):
         (``contention=0``) the makespan shrinks nearly linearly in the
         device count; on a fully shared link (``contention=1``) the
         copy-bound workload stops scaling — exactly the regime the
-        :class:`~repro.core.sharding.ShardedCostModel` prices.  With a
+        :class:`~repro.core.sharding.TopologyCostModel` prices on
+        ``Topology.homogeneous(devices, contention)``.  With a
         ``topology``, shard widths follow the per-device throughput
         weights and each device's transfers stretch by its own socket's
         link contention.

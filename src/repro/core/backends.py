@@ -30,7 +30,8 @@ Built-in backends (registered on import):
 ``atgpu-multi``   Expression (2) sharded across several devices: each
                   round's words and thread blocks partition over ``P``
                   GPUs and the round is charged the straggler device
-                  time (the :class:`~repro.core.sharding.ShardedCostModel`);
+                  time (:class:`~repro.core.sharding.TopologyCostModel`
+                  on ``Topology.homogeneous(devices, contention)``);
                   :func:`make_sharded_backend` builds variants with other
                   device counts and interconnect-contention factors
 ``atgpu-topo``    placeholder resolved per spec: Expression (2) over an
@@ -74,10 +75,11 @@ from repro.core.machine import ATGPUMachine
 from repro.core.metrics import AlgorithmMetrics
 from repro.core.occupancy import OccupancyModel
 from repro.core.sharding import (
+    ensure_planner,
     topology_cost_batch,
     topology_gpu_cost,
 )
-from repro.core.topology import Topology
+from repro.core.topology import DEFAULT_SHARD_DEVICES, Topology
 from repro.core.transfer import OverlappedTransferModel
 from repro.utils.validation import ensure_positive_int
 
@@ -401,8 +403,6 @@ def make_async_backend(
     )
 
 
-#: Device count of the default multi-GPU (sharded) backend.
-DEFAULT_SHARD_DEVICES = 2
 #: Interconnect-contention factor of the default sharded backend
 #: (independent per-device links).
 DEFAULT_SHARD_CONTENTION = 0.0
@@ -423,12 +423,10 @@ def make_sharded_backend(
     ``atgpu-multi4-c0.5``.  With ``devices=1`` the cost is bit-for-bit the
     serial ``atgpu`` backend's.
 
-    Since the topology refactor this factory is a thin shim over the
-    homogeneous :class:`~repro.core.topology.Topology` with the same
-    ``(devices, contention)`` — the general
-    :class:`~repro.core.sharding.TopologyCostModel` degenerates to the
-    PR 3 :class:`~repro.core.sharding.ShardedCostModel` bit for bit on
-    such fleets (enforced by tests), so one evaluator serves both.
+    The factory prices ``Topology.homogeneous(devices, contention)``
+    through :func:`~repro.core.sharding.topology_gpu_cost` (scalar) and
+    :func:`~repro.core.sharding.topology_cost_batch` (sweeps, on its
+    uniform fast path).
     """
 
     topology = Topology.homogeneous(devices, contention)
@@ -485,8 +483,10 @@ def make_topology_backend(
     (``atgpu-topo-<hash8>``, with an ``-even`` suffix for the even
     planner), so the same fleet always resolves to the same registry
     entry — which is what lets sessions and the serving layer coalesce
-    requests sharing a topology.
+    requests sharing a topology.  An unknown ``planner`` raises
+    :class:`ValueError` here, before anything is named or registered.
     """
+    ensure_planner(planner)
     if not isinstance(topology, Topology):
         raise TypeError(
             f"topology must be a Topology, got {type(topology).__name__}"

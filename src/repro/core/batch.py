@@ -609,8 +609,13 @@ def overlapped_cost_batch(
 # --------------------------------------------------------------------- #
 # Sharded (multi-device) cost
 # --------------------------------------------------------------------- #
-def _largest_shard_grid(words: np.ndarray, devices: int) -> np.ndarray:
-    """Elementwise :func:`repro.core.sharding.largest_shard` over a grid."""
+def _straggler_shard_grid(words: np.ndarray, devices: int) -> np.ndarray:
+    """Words on the most-loaded of ``P`` equal devices, elementwise.
+
+    Whole-word counts split near-evenly (the first shards carry the
+    extra word), so the straggler holds ``⌈words / P⌉``; non-integral
+    word counts (continuous analyses) split exactly evenly.
+    """
     whole = words == np.floor(words)
     return np.where(whole, ceil_div(words, devices), words / devices)
 
@@ -622,11 +627,15 @@ def sharded_transfer_grid(
     devices: int,
     contention: float,
 ) -> np.ndarray:
-    """Elementwise straggler link time of ``ShardedTransferModel.cost``."""
+    """Elementwise straggler link time on ``P`` devices sharing one link.
+
+    ``T·α + (c·W + (1−c)·⌈W/P⌉)·β``; one device streams all ``W``
+    words, exactly the serial Boyer cost.
+    """
     if devices == 1:
         streaming = words
     else:
-        shard = _largest_shard_grid(words, devices)
+        shard = _straggler_shard_grid(words, devices)
         streaming = contended_streaming(words, shard, contention)
     return transactions * parameters.alpha + streaming * parameters.beta
 
@@ -639,12 +648,14 @@ def sharded_cost_batch(
     devices: int = 1,
     contention: float = 0.0,
 ) -> np.ndarray:
-    """Vector form of :func:`repro.core.sharding.sharded_gpu_cost`.
+    """Uniform-fleet fast path of :func:`repro.core.sharding.topology_cost_batch`.
 
-    Each round's words and thread blocks shard near-evenly over ``P``
-    devices and the round is charged the straggler device's transfer +
-    kernel time plus one pool-wide ``σ``, exactly as the scalar
-    ``atgpu-multi`` backend does.
+    Vector form of :func:`repro.core.sharding.topology_gpu_cost` on
+    ``Topology.homogeneous(devices, contention)``: each round's words and
+    thread blocks shard near-evenly over ``P`` devices and the round is
+    charged the straggler device's transfer + kernel time plus one
+    pool-wide ``σ``.  The straggler is device 0, which holds the ceiling
+    shards, so only its components are priced.
     """
     ensure_positive_int(devices, "devices")
     ensure_in_range(contention, "contention", 0.0, 1.0)

@@ -8,29 +8,28 @@ and returns its shard of the outward words, while the host interconnect —
 one PCIe/NVLink complex shared by every device — becomes the contended
 resource.
 
-This module prices that regime analytically:
+This module prices that regime analytically over a
+:class:`~repro.core.topology.Topology`, the one description of a fleet:
 
-* :class:`ShardedTransferModel` partitions each round's inward/outward words
-  across ``P`` devices and charges the *straggler* device's link time.  A
-  ``contention`` factor interpolates between fully independent per-device
-  links (``contention=0``: every device streams its shard concurrently) and
-  one fully shared serial interconnect (``contention=1``: all words queue on
-  the same link, recovering the serial Boyer streaming time exactly).
-* :class:`ShardedCostModel` extends the GPU-cost (Expression 2) the same
-  way: each round's ``k_i`` thread blocks split near-evenly across ``P``
-  occupancy-identical devices and the round is charged the per-round
-  **maximum** (straggler) device time.
+* :class:`TopologyCostModel` is the scalar reference.  Each round's words
+  and thread blocks split across the devices, a ``contention`` factor per
+  host link interpolates between fully independent per-device links
+  (``0``: every device streams its shard concurrently) and one fully
+  shared serial interconnect (``1``: all words queue on the same link),
+  and the round is charged the **maximum** (straggler) device time.
+* :func:`topology_cost_batch` is its vector form; uniform fleets take the
+  :func:`~repro.core.batch.sharded_cost_batch` fast path.
 
-Both degeneracies are exact: ``P=1`` reproduces
-:class:`~repro.core.transfer.BoyerTransferModel` /
+``(devices, contention)`` is ``Topology.homogeneous(devices, contention)``.
+On such a fleet both degeneracies are exact: ``P=1`` reproduces
 :class:`~repro.core.cost.ATGPUCostModel` bit for bit, and ``contention=1``
-reproduces the serial streaming term for any ``P``.
+reproduces the serial :class:`~repro.core.transfer.BoyerTransferModel`
+transfer terms for any ``P``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +40,7 @@ from repro.core.batch import (
     _column_sum,
     sharded_cost_batch,
 )
-from repro.core.cost import ATGPUCostModel, CostBreakdown, CostParameters
+from repro.core.cost import CostBreakdown, CostParameters
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import AlgorithmMetrics, RoundMetrics
 from repro.core.occupancy import (
@@ -49,287 +48,23 @@ from repro.core.occupancy import (
     blocks_per_multiprocessor_grid,
     wave_count_grid,
 )
-from repro.core.topology import (
-    Topology,
-    contended_streaming,
-    contention_stretch,
-    plan_shards,
-)
-from repro.core.transfer import BoyerTransferModel
-from repro.utils.numerics import ceil_div
-from repro.utils.validation import (
-    ensure_in_range,
-    ensure_non_negative,
-    ensure_non_negative_int,
-    ensure_positive_int,
-)
+from repro.core.topology import Topology, contended_streaming, plan_shards
+from repro.utils.validation import ensure_non_negative, ensure_non_negative_int
 
 #: Shard planners a :class:`TopologyCostModel` may use: ``"load-aware"``
 #: sizes shards by per-device throughput (:func:`plan_shards`);
-#: ``"even"`` keeps the PR 3 near-even split regardless of throughput
-#: (the baseline the benchmarks compare against).
+#: ``"even"`` keeps the near-even split regardless of throughput (the
+#: baseline the benchmarks compare against).
 PLANNERS: Tuple[str, ...] = ("load-aware", "even")
 
 
-def largest_shard(words: float, devices: int) -> float:
-    """Words carried by the most-loaded device when sharding ``words`` ways.
-
-    Whole-word counts shard like :func:`repro.algorithms.base.chunk_bounds`
-    (the first shards carry one extra word), so the straggler holds
-    ``⌈words / devices⌉``; non-integral word counts (continuous analyses)
-    split exactly evenly.  With one device the shard is the whole transfer.
-    """
-    ensure_non_negative(words, "words")
-    ensure_positive_int(devices, "devices")
-    if words == 0:
-        return 0.0
-    if float(words).is_integer():
-        return float(ceil_div(words, devices))
-    return words / devices
-
-
-def shard_sizes(total: int, devices: int) -> List[int]:
-    """Near-equal integer shard sizes (possibly zero-padded to ``devices``).
-
-    The first ``total % devices`` shards carry one extra element; when
-    ``devices > total`` the trailing shards are empty (those devices idle).
-    """
-    ensure_non_negative_int(total, "total")
-    ensure_positive_int(devices, "devices")
-    base, extra = divmod(total, devices)
-    return [base + (1 if index < extra else 0) for index in range(devices)]
-
-
-@dataclass(frozen=True)
-class ShardedTransferModel:
-    """Boyer transfer costs over ``P`` devices sharing a host interconnect.
-
-    Parameters
-    ----------
-    alpha, beta:
-        The per-transaction and per-word costs of the underlying
-        :class:`~repro.core.transfer.BoyerTransferModel`.
-    devices:
-        ``P`` -- number of devices the transfer is sharded across.
-    contention:
-        Share of the streaming that serialises on the host interconnect, in
-        ``[0, 1]``.  ``0`` models independent per-device links (each device
-        streams its shard concurrently; the round waits for the straggler's
-        shard); ``1`` models one fully shared link (every word queues, so the
-        streaming term equals the serial ``words·β`` regardless of ``P``).
-        Intermediate values interpolate linearly, matching the measured
-        behaviour of PCIe switches under concurrent DMA.
-
-    The per-transaction ``α`` is charged once per logical transaction: every
-    device issues its own sub-transaction, but the DMA setups proceed
-    concurrently, so the straggler pays only its own fixed overhead.
-    """
-
-    alpha: float
-    beta: float
-    devices: int = 1
-    contention: float = 0.0
-
-    def __post_init__(self) -> None:
-        ensure_non_negative(self.alpha, "alpha")
-        ensure_non_negative(self.beta, "beta")
-        ensure_positive_int(self.devices, "devices")
-        ensure_in_range(self.contention, "contention", 0.0, 1.0)
-
-    @property
-    def serial_model(self) -> BoyerTransferModel:
-        """The single-link Boyer model with the same ``α``/``β``."""
-        return BoyerTransferModel(alpha=self.alpha, beta=self.beta)
-
-    def cost(self, words: float, transactions: int = 1) -> float:
-        """Straggler-device time of moving ``words`` words sharded ``P`` ways.
-
-        ``contention·words·β`` streams on the shared link plus
-        ``(1-contention)·shard·β`` on the straggler's private link, after the
-        straggler's ``transactions·α`` setup.  With ``devices=1`` or
-        ``contention=1`` this is exactly the serial Boyer cost.
-        """
-        ensure_non_negative(words, "words")
-        ensure_non_negative_int(transactions, "transactions")
-        if words > 0 and transactions == 0:
-            raise ValueError(
-                "moving a positive number of words requires >= 1 transaction"
-            )
-        if self.devices == 1:
-            # Exact single-link degeneracy (no interpolation rounding).
-            streaming = float(words)
-        else:
-            shard = largest_shard(words, self.devices)
-            streaming = contended_streaming(words, shard, self.contention)
-        return transactions * self.alpha + streaming * self.beta
-
-    def inward_cost(self, metrics: RoundMetrics) -> float:
-        """Sharded ``T_I(i)`` for one round."""
-        return self.cost(metrics.inward_words, metrics.inward_transactions)
-
-    def outward_cost(self, metrics: RoundMetrics) -> float:
-        """Sharded ``T_O(i)`` for one round."""
-        return self.cost(metrics.outward_words, metrics.outward_transactions)
-
-    def round_cost(self, metrics: RoundMetrics) -> float:
-        """Sharded transfer cost of one round, ``T_I(i) + T_O(i)``."""
-        return self.inward_cost(metrics) + self.outward_cost(metrics)
-
-    def serial_round_cost(self, metrics: RoundMetrics) -> float:
-        """The single-link comparison cost of the same round."""
-        return self.serial_model.round_cost(metrics)
-
-
-class ShardedCostModel:
-    """Expression (2) evaluated over ``P`` identical devices (straggler time).
-
-    Each round's inward words, thread blocks and outward words shard
-    near-evenly across the pool; the round costs the slowest device's
-    transfer + kernel time plus one pool-wide synchronisation ``σ``.  The
-    per-round maximum is the straggler device: shards are near-equal, so the
-    straggler is the device holding ``⌈k_i/P⌉`` blocks and the largest word
-    shards.
-
-    ``devices=1`` reproduces :meth:`~repro.core.cost.ATGPUCostModel.gpu_cost`
-    exactly, whatever the contention factor.
-    """
-
-    def __init__(
-        self,
-        machine: ATGPUMachine,
-        parameters: CostParameters,
-        occupancy: OccupancyModel,
-        devices: int = 1,
-        contention: float = 0.0,
-    ) -> None:
-        if occupancy is None:
-            raise ValueError(
-                "sharded GPU-cost requires an OccupancyModel (the per-device "
-                "wave count of Expression 2)"
-            )
-        self.machine = machine
-        self.parameters = parameters
-        self.occupancy = occupancy
-        self.devices = ensure_positive_int(devices, "devices")
-        self.contention = ensure_in_range(contention, "contention", 0.0, 1.0)
-        self.transfer_model = ShardedTransferModel(
-            alpha=parameters.alpha,
-            beta=parameters.beta,
-            devices=self.devices,
-            contention=self.contention,
+def ensure_planner(planner: str) -> str:
+    """Return ``planner`` if it names one of :data:`PLANNERS`."""
+    if planner not in PLANNERS:
+        raise ValueError(
+            f"planner must be one of {', '.join(PLANNERS)}; got {planner!r}"
         )
-
-    # ------------------------------------------------------------------ #
-    # Per-round costs
-    # ------------------------------------------------------------------ #
-    def straggler_blocks(self, thread_blocks: int) -> int:
-        """Thread blocks on the most-loaded device, ``⌈k_i / P⌉``."""
-        ensure_positive_int(thread_blocks, "thread_blocks")
-        return ceil_div(thread_blocks, self.devices)
-
-    def _device_kernel_terms(
-        self, blocks: int, metrics: RoundMetrics
-    ) -> Tuple[float, float]:
-        """``(compute, io)`` cost of one round on a device holding ``blocks``.
-
-        The device's round time scales by its wave count
-        ``⌈blocks/(k'·ℓ)⌉`` and it serves its proportional share of the
-        round's I/O blocks ``q_i``.  Shared by the straggler charge and the
-        per-device diagnostic so both stay numerically identical.
-        """
-        params = self.parameters
-        waves = self.occupancy.waves(
-            thread_blocks=blocks,
-            shared_memory_capacity=self.machine.M,
-            shared_words_per_block=metrics.shared_words_per_mp,
-        )
-        io_share = blocks / metrics.thread_blocks
-        return (
-            waves * metrics.time / params.gamma,
-            params.lam * metrics.io_blocks * io_share / params.gamma,
-        )
-
-    def round_breakdown(self, metrics: RoundMetrics) -> CostBreakdown:
-        """Itemised straggler-device cost of one round.
-
-        The kernel side is the straggler's (``⌈k_i/P⌉`` blocks) compute and
-        I/O time; the transfer side is the sharded straggler link time.
-        """
-        compute, io = self._device_kernel_terms(
-            self.straggler_blocks(metrics.thread_blocks), metrics
-        )
-        return CostBreakdown(
-            inward_transfer=self.transfer_model.inward_cost(metrics),
-            outward_transfer=self.transfer_model.outward_cost(metrics),
-            compute=compute,
-            io=io,
-            synchronisation=self.parameters.sigma,
-        )
-
-    def round_cost(self, metrics: RoundMetrics) -> float:
-        """Scalar straggler cost of one round."""
-        return self.round_breakdown(metrics).total
-
-    # ------------------------------------------------------------------ #
-    # Whole-algorithm costs
-    # ------------------------------------------------------------------ #
-    def breakdown(self, metrics: AlgorithmMetrics) -> CostBreakdown:
-        """Itemised sharded cost of a whole algorithm (sum over rounds)."""
-        metrics.validate_against(self.machine)
-        total = CostBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-        for round_metrics in metrics:
-            total = total + self.round_breakdown(round_metrics)
-        return total
-
-    def gpu_cost(self, metrics: AlgorithmMetrics) -> float:
-        """The sharded GPU-cost: sum of per-round straggler times."""
-        return self.breakdown(metrics).total
-
-    def serial_cost(self, metrics: AlgorithmMetrics) -> float:
-        """The single-device GPU-cost (Expression 2) for comparison."""
-        return ATGPUCostModel(
-            self.machine, self.parameters, self.occupancy
-        ).gpu_cost(metrics)
-
-    def scaling_speedup(self, metrics: AlgorithmMetrics) -> float:
-        """Serial-over-sharded cost ratio (1.0 at ``P=1`` by construction)."""
-        sharded = self.gpu_cost(metrics)
-        if sharded == 0:
-            return 1.0
-        return self.serial_cost(metrics) / sharded
-
-    def device_round_times(
-        self, metrics: RoundMetrics
-    ) -> Tuple[float, ...]:
-        """Per-device kernel-side times of one round (straggler first).
-
-        Diagnostic view of the imbalance: devices receive their
-        :func:`shard_sizes` share of the thread blocks; devices with no
-        blocks are idle for the round.
-        """
-        times = []
-        for blocks in shard_sizes(metrics.thread_blocks, self.devices):
-            if blocks == 0:
-                times.append(0.0)
-                continue
-            compute, io = self._device_kernel_terms(blocks, metrics)
-            times.append(compute + io)
-        return tuple(times)
-
-
-def sharded_gpu_cost(
-    metrics: AlgorithmMetrics,
-    machine: ATGPUMachine,
-    parameters: CostParameters,
-    occupancy: Optional[OccupancyModel],
-    devices: int = 1,
-    contention: float = 0.0,
-) -> float:
-    """Functional form of :meth:`ShardedCostModel.gpu_cost` (backend entry)."""
-    model = ShardedCostModel(
-        machine, parameters, occupancy, devices=devices, contention=contention
-    )
-    return model.gpu_cost(metrics)
+    return planner
 
 
 # --------------------------------------------------------------------- #
@@ -338,8 +73,7 @@ def sharded_gpu_cost(
 class TopologyCostModel:
     """Expression (2) over an arbitrary :class:`~repro.core.topology.Topology`.
 
-    The generalisation of :class:`ShardedCostModel` from ``(devices,
-    contention)`` to a full fleet description:
+    The scalar reference for every multi-device fleet:
 
     * each device resolves its own ``(machine, parameters, occupancy)``
       from its :class:`~repro.core.topology.DeviceSpec` preset/occupancy
@@ -356,10 +90,11 @@ class TopologyCostModel:
     * the round is charged the per-round **maximum** (straggler) device
       time plus one pool-wide synchronisation ``σ``.
 
-    Degeneracy: a homogeneous topology (``Topology.homogeneous(P, c)``)
-    reproduces :class:`ShardedCostModel` with the same ``(P, c)`` bit for
-    bit, under either planner — equal weights plan the exact PR 3 splits
-    and device 0 is always the first-maximum straggler.
+    On a homogeneous topology (``Topology.homogeneous(P, c)``) equal
+    weights plan near-even splits under either planner, device 0 holds
+    the ceiling shards and is the first-maximum straggler, so each
+    direction costs ``T·α + (c·W + (1−c)·⌈W/P⌉)·β`` and the kernel side
+    is device 0's ``⌈k/P⌉`` blocks.
     """
 
     def __init__(
@@ -379,11 +114,7 @@ class TopologyCostModel:
             raise TypeError(
                 f"topology must be a Topology, got {type(topology).__name__}"
             )
-        if planner not in PLANNERS:
-            raise ValueError(
-                f"planner must be one of {', '.join(PLANNERS)}; "
-                f"got {planner!r}"
-            )
+        ensure_planner(planner)
         from repro.core.presets import get_preset
 
         self.machine = machine
@@ -420,8 +151,8 @@ class TopologyCostModel:
             self.plan_weights = self.weights
         # Per-device link view: transfer parameters fall back to the
         # fleet's (the link is a property of the host complex, not the
-        # GPU behind it, which is what keeps homogeneous fleets exactly
-        # on the PR 3 numbers).
+        # GPU behind it, so a homogeneous fleet's transfers price at the
+        # fleet's own α/β).
         links = []
         for device in topology.devices:
             link = topology.host_link(device.socket)
@@ -439,18 +170,13 @@ class TopologyCostModel:
     # ------------------------------------------------------------------ #
     # Shard planning
     # ------------------------------------------------------------------ #
-    def plan_for(self, total: int) -> List[int]:
-        """The planner's integer split of ``total`` units across the fleet."""
-        return plan_shards(total, self.plan_weights)
-
     def _word_shards(self, words: float) -> List[float]:
-        """Per-device word shards of one transfer (floats, PR 3-compatible).
+        """Per-device word shards of one transfer (as floats).
 
         Whole-word counts plan like thread blocks
         (:func:`~repro.core.topology.plan_shards`); non-integral word
         counts (continuous analyses) split proportionally — exactly
-        ``words / P`` under equal weights, matching
-        :func:`largest_shard`'s fractional branch.
+        ``words / P`` under equal weights.
         """
         count = len(self.plan_weights)
         if words == 0:
@@ -485,9 +211,12 @@ class TopologyCostModel:
         """One device's link time for its shard of a transfer.
 
         A device alone on its socket streams only its own shard (the
-        exact single-link degeneracy, as PR 3's ``devices=1`` path);
+        exact single-link degeneracy, so ``P=1`` is the Boyer cost);
         otherwise the shard contends with its socket peers' share of the
-        transfer under the link's ``contention`` factor.
+        transfer under the link's ``contention`` factor.  ``α`` is charged
+        once per logical transaction: every device issues its own
+        sub-transaction, but the DMA setups proceed concurrently, so the
+        straggler pays only its own fixed overhead.
         """
         alpha, beta, contention, members, covers_all = (
             self.device_links[device]
@@ -532,9 +261,9 @@ class TopologyCostModel:
 
         Every device's transfer + kernel time is priced from its planned
         shards; the round is charged the slowest device's components
-        (first maximum on ties, so homogeneous fleets charge device 0 —
-        the ceil-shard holder — exactly as :class:`ShardedCostModel`
-        does), plus the P2P shuffle term when a fabric is declared.
+        (first maximum on ties, so homogeneous fleets charge device 0,
+        the ceiling-shard holder), plus the P2P shuffle term when a
+        fabric is declared.
         """
         self._check_transfer(
             metrics.inward_words, metrics.inward_transactions
@@ -619,21 +348,6 @@ class TopologyCostModel:
     def gpu_cost(self, metrics: AlgorithmMetrics) -> float:
         """The topology GPU-cost: sum of per-round straggler times."""
         return self.breakdown(metrics).total
-
-    def device_round_times(
-        self, metrics: RoundMetrics
-    ) -> Tuple[float, ...]:
-        """Per-device kernel-side times of one round (diagnostic view)."""
-        times = []
-        block_shards = plan_shards(
-            metrics.thread_blocks, self.plan_weights
-        )
-        for device in range(self.topology.num_devices):
-            compute, io = self._device_kernel_terms(
-                device, block_shards[device], metrics
-            )
-            times.append(compute + io)
-        return tuple(times)
 
 
 def topology_gpu_cost(
@@ -731,12 +445,13 @@ def topology_cost_batch(
 ) -> np.ndarray:
     """Vector form of :func:`topology_gpu_cost`.
 
-    Uniform topologies delegate to :func:`~repro.core.batch.sharded_cost_batch`
-    (they are the same model, and that path is already bit-for-bit
-    against the scalar PR 3 evaluator); heterogeneous fleets price every
-    device's shard grids and gather the per-round straggler components
-    with a first-maximum ``argmax``, mirroring the scalar model's
-    operand order exactly.
+    Uniform topologies take the
+    :func:`~repro.core.batch.sharded_cost_batch` fast path, which prices
+    device 0's ceiling shards directly; every other fleet prices each
+    device's shard grids and gathers the per-round straggler components
+    with a first-maximum ``argmax``.  Both paths follow the scalar
+    model's operand order exactly, so both are bit for bit against
+    :func:`topology_gpu_cost`.
     """
     if occupancy is None:
         raise ValueError(

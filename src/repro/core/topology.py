@@ -1,14 +1,15 @@
 """First-class device-fleet topology descriptions and shard planning.
 
-The multi-device model of :mod:`repro.core.sharding` (PR 3's
-``atgpu-multi`` backend) assumes ``P`` identical devices splitting each
-round near-evenly over one shared host link.  Real fleets are not like
-that: devices come in mixed generations (per-device GPU presets and
-occupancy limits), NUMA hosts expose one link complex per socket, and
-peer-to-peer fabrics let devices exchange partial results without
-touching the host link at all.
+The simplest multi-device fleet is ``P`` identical devices splitting each
+round near-evenly over one shared host link — the ``(devices,
+contention)`` pair of the ``atgpu-multi`` backends and the sharded
+simulator runs, which :meth:`Topology.homogeneous` turns into a
+topology.  Real fleets are not like that: devices come in mixed
+generations (per-device GPU presets and occupancy limits), NUMA hosts
+expose one link complex per socket, and peer-to-peer fabrics let devices
+exchange partial results without touching the host link at all.
 
-This module is the *description* half of the topology-aware refactor:
+This module is the *description* half of the multi-device model:
 
 * :class:`DeviceSpec` — one device of the fleet: an optional per-device
   GPU preset override, an optional occupancy (hardware block limit)
@@ -22,11 +23,13 @@ This module is the *description* half of the topology-aware refactor:
   :class:`~repro.core.sharding.TopologyCostModel` →
   :class:`~repro.simulator.device_pool.DevicePool`, so model, simulator
   and serving keys all consume one fleet description.
+* :func:`resolve_fleet` — the one place a ``(devices, contention)`` pair
+  or a topology argument becomes the :class:`Topology` of a run.
 * :func:`plan_shards` — the load-aware partitioner: integer shard sizes
   minimising the straggler finish time given per-device throughputs.
-  With equal throughputs it reduces **exactly** to
-  near-even splitting (first shards carry the extras), which is what
-  makes homogeneous topologies bit-for-bit identical to PR 3.
+  With equal throughputs it reduces **exactly** to near-even splitting
+  (first shards carry the extras), so homogeneous fleets shard the way
+  :func:`~repro.algorithms.base.chunk_bounds` chunks.
 
 The cost-model half (:class:`~repro.core.sharding.TopologyCostModel`
 and its batch evaluator) lives in :mod:`repro.core.sharding`; the
@@ -79,12 +82,12 @@ def contended_streaming(total, shard, contention):
 def contention_stretch(devices, contention):
     """Streaming-time multiplier on a link shared by ``P`` devices.
 
-    The ``1 + c·(P−1)`` factor previously duplicated by
-    ``core/sharding.py`` and ``simulator/device_pool.py`` — with equal
-    shards it is :func:`contended_streaming` evaluated at
-    ``total = P·shard`` (each device's shard is stretched by the
-    ``P−1`` peers contending for the link), so model and simulator
-    cannot drift apart.
+    The ``1 + c·(P−1)`` factor the simulator's
+    :class:`~repro.simulator.device_pool.DevicePool` stretches transfers
+    by.  With equal shards it is :func:`contended_streaming` evaluated at
+    ``total = P·shard`` (each device's shard is stretched by the ``P−1``
+    peers contending for the link), so model and simulator cannot drift
+    apart.
     """
     return 1.0 + contention * (devices - 1)
 
@@ -99,8 +102,8 @@ class DeviceSpec:
         Name of the GPU preset this device runs as (see
         :func:`repro.core.presets.get_preset`).  ``None`` means "the
         fleet default" — whatever preset the enclosing experiment spec
-        names — which is what keeps homogeneous topologies exactly
-        equivalent to the PR 3 ``(devices, contention)`` description.
+        names — so a fleet of default devices prices on the spec's own
+        GPU, as ``Topology.homogeneous`` does.
     hardware_block_limit:
         Optional per-device occupancy override (the ``H`` of the wave
         count ``⌈k_i/(k'·ℓ)⌉``); ``None`` keeps the resolved preset's.
@@ -167,9 +170,8 @@ class LinkSpec:
         The socket a ``"host"`` link serves (ignored for ``"p2p"``).
     contention:
         Share of the streaming that serialises on this link, in
-        ``[0, 1]`` — the same factor the PR 3 model uses, but now per
-        link: devices on different sockets do not contend with each
-        other.
+        ``[0, 1]``.  It is per link: devices on different sockets do
+        not contend with each other.
     alpha, beta:
         Optional per-transaction / per-word cost overrides for
         transfers on this link; ``None`` falls back to the fleet cost
@@ -286,12 +288,12 @@ class Topology:
     def homogeneous(
         cls, devices: int, contention: float = 0.0
     ) -> "Topology":
-        """The PR 3 fleet: ``P`` identical devices on one host link.
+        """``P`` identical devices on one host link with ``contention``.
 
-        This is the degenerate topology the ``atgpu-multi`` backends are
-        thin shims over; its predictions are bit-for-bit identical to
-        :class:`~repro.core.sharding.ShardedCostModel` with the same
-        ``(devices, contention)``.
+        The fleet every ``(devices, contention)`` argument pair names:
+        the ``atgpu-multi`` backends price it and the sharded simulator
+        runs schedule on it (see :func:`resolve_fleet`).  With one
+        device it prices exactly like Expression (2).
         """
         ensure_positive_int(devices, "devices")
         return cls(
@@ -341,13 +343,13 @@ class Topology:
 
     @property
     def is_uniform(self) -> bool:
-        """Whether the fleet degenerates to the PR 3 description.
+        """Whether the fleet is a ``Topology.homogeneous`` one.
 
         True when no device carries an override, everything sits on one
         socket whose host link keeps the fleet ``α``/``β``, and there is
         no p2p fabric — i.e. the topology is fully described by
-        ``(devices, contention)`` and prices bit-for-bit like
-        :class:`~repro.core.sharding.ShardedCostModel`.
+        ``(devices, contention)``, and the batch evaluator may take the
+        :func:`~repro.core.batch.sharded_cost_batch` fast path.
         """
         if not all(d.is_default for d in self.devices):
             return False
@@ -370,7 +372,7 @@ class Topology:
         ``parameters``/``occupancy``; the package default preset when
         neither is given).  Devices with identical resolutions get
         *identical* weights, so homogeneous fleets plan exactly the
-        near-even PR 3 splits.
+        near-even splits.
         """
         from repro.core.presets import DEFAULT_PRESET, get_preset
 
@@ -454,6 +456,52 @@ class Topology:
         return cached
 
 
+#: Devices in the fleet of a sharded run given neither ``devices`` nor a
+#: topology (also the default ``atgpu-multi`` backend's device count).
+DEFAULT_SHARD_DEVICES = 2
+
+
+def resolve_fleet(
+    devices: Optional[int] = None,
+    contention: Optional[float] = None,
+    topology: Optional[Topology] = None,
+    *,
+    default_devices: Optional[int] = DEFAULT_SHARD_DEVICES,
+) -> Topology:
+    """The fleet a ``(devices, contention)`` pair or a ``topology`` names.
+
+    Without a topology the fleet is ``Topology.homogeneous(devices,
+    contention)``, where ``None`` means ``default_devices`` devices (an
+    error when that is ``None`` too) and contention ``0.0``.  Beside a
+    topology, ``devices`` may only repeat its device count and
+    ``contention`` must stay ``None`` (the topology's host links carry
+    the contention), so neither is dropped without a word.
+    """
+    if topology is None:
+        if devices is None:
+            devices = default_devices
+        if devices is None:
+            raise ValueError("a fleet needs devices or a topology")
+        return Topology.homogeneous(
+            devices, 0.0 if contention is None else contention
+        )
+    if not isinstance(topology, Topology):
+        raise TypeError(
+            f"topology must be a Topology, got {type(topology).__name__}"
+        )
+    if devices is not None and devices != topology.num_devices:
+        raise ValueError(
+            f"devices={devices} disagrees with the topology's "
+            f"{topology.num_devices} devices"
+        )
+    if contention is not None:
+        raise ValueError(
+            f"contention={contention} cannot be combined with a topology; "
+            "set it on the topology's host links"
+        )
+    return topology
+
+
 # --------------------------------------------------------------------- #
 # Load-aware shard planning
 # --------------------------------------------------------------------- #
@@ -469,11 +517,10 @@ def plan_shards(total: int, weights: Sequence[float]) -> List[int]:
     water-filling, optimal for minimising ``max sᵢ/wᵢ`` over integer
     apportionments.
 
-    **Equal weights reduce exactly** to
-    :func:`repro.core.sharding.shard_sizes` (first ``total % P`` shards
-    carry one extra unit) — taken as a dedicated branch so no floating
-    point touches the homogeneous case.  Shards may be zero (those
-    devices idle).
+    **Equal weights reduce exactly** to the near-even ``divmod`` split
+    (the first ``total % P`` shards carry one extra unit) — taken as a
+    dedicated branch so no floating point touches the homogeneous case.
+    Shards may be zero (those devices idle).
     """
     ensure_non_negative_int(total, "total")
     if not weights:

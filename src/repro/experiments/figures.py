@@ -305,13 +305,15 @@ def figure_shard_sweep(
 ) -> FigureSeries:
     """Sharded cost and speedup at one input size across device counts.
 
-    Evaluates the sharded cost model directly (no registered backend per
-    device count needed); the x-axis is the pool size, with 1 the serial
-    baseline.  ``device_counts`` defaults to
+    Prices ``Topology.homogeneous(p, contention)`` for each device count
+    ``p`` directly (no registered backend per device count needed); the
+    x-axis is the pool size, with 1 the serial baseline.
+    ``device_counts`` defaults to
     :data:`repro.workloads.sweeps.SHARD_COUNT_SWEEP`.
     """
     from repro.core.presets import DEFAULT_PRESET
-    from repro.core.sharding import sharded_gpu_cost
+    from repro.core.sharding import topology_gpu_cost
+    from repro.core.topology import Topology
     from repro.workloads.sweeps import SHARD_COUNT_SWEEP
 
     if isinstance(algorithm, str):
@@ -321,17 +323,17 @@ def figure_shard_sweep(
     preset = preset or DEFAULT_PRESET
     counts = list(device_counts) or list(SHARD_COUNT_SWEEP.sizes)
     metrics = algorithm.metrics(int(n), preset.machine)
-    costs = np.array([
-        sharded_gpu_cost(
+
+    def cost(fleet: Topology) -> float:
+        return topology_gpu_cost(
             metrics, preset.machine, preset.parameters, preset.occupancy,
-            devices=int(p), contention=contention,
+            fleet,
         )
-        for p in counts
+
+    costs = np.array([
+        cost(Topology.homogeneous(int(p), contention)) for p in counts
     ])
-    serial = sharded_gpu_cost(
-        metrics, preset.machine, preset.parameters, preset.occupancy,
-        devices=1,
-    )
+    serial = cost(Topology.homogeneous(1))
     return FigureSeries(
         figure="Scaling-devices",
         title=(

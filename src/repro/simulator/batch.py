@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.core.metrics import validate_sizes
 from repro.core.prediction import SweepObservation
+from repro.core.topology import resolve_fleet
 from repro.core.transfer import TransferDirection
 from repro.simulator.config import DeviceConfig
 from repro.simulator.device import GPUDevice
@@ -713,18 +714,23 @@ def simulate_sharded_sweep(
     algorithm,
     sizes: Sequence[int],
     config: Optional[DeviceConfig] = None,
-    devices: int = 2,
-    contention: float = 0.0,
+    devices: Optional[int] = None,
+    contention: Optional[float] = None,
     pinned: bool = False,
     topology=None,
 ) -> ShardedSweepObservation:
-    """Batched twin of per-size ``observe_sharded`` (bit-for-bit parity)."""
+    """Batched twin of per-size ``observe_sharded`` (bit-for-bit parity).
+
+    The fleet is resolved once, by
+    :func:`~repro.core.topology.resolve_fleet`, and every size's plan is
+    built on it.
+    """
+    fleet = resolve_fleet(devices, contention, topology)
     sizes = list(validate_sizes(sizes))
     device_config = config or DeviceConfig.gtx650()
     plans = [
         algorithm.sim_shard_plan(
-            n, device_config, devices=devices, contention=contention,
-            pinned=pinned, topology=topology,
+            n, device_config, pinned=pinned, topology=fleet
         )
         for n in sizes
     ]

@@ -1,18 +1,20 @@
-"""A pool of simulated devices sharing one host interconnect.
+"""A pool of simulated devices over a fleet's host interconnects.
 
 :class:`DevicePool` is the simulator counterpart of
-:class:`repro.core.sharding.ShardedCostModel`: it instantiates one
-:class:`~repro.simulator.streams.StreamTimeline` per device — each with its
-own copy and compute engines, so devices proceed concurrently — over a
-single host link whose transfer parameters come from one shared
-:class:`~repro.simulator.transfer_engine.TransferEngine`.
+:class:`repro.core.sharding.TopologyCostModel`: it instantiates one
+:class:`~repro.simulator.streams.StreamTimeline` per device of a
+:class:`~repro.core.topology.Topology` — each with its own copy and compute
+engines, so devices proceed concurrently — whose transfer parameters come
+from one shared :class:`~repro.simulator.transfer_engine.TransferEngine`.
+A ``(devices, contention)`` pair is ``Topology.homogeneous(devices,
+contention)``: one host link shared by every device.
 
 Interconnect contention is modelled the same way the analytic model prices
-it: a ``contention`` factor in ``[0, 1]`` stretches the *streaming* portion
-of every transfer by ``1 + contention·(P - 1)`` (the fixed DMA-setup latency
-is per-device and does not stretch).  With equal shards this charge equals
-the model's interpolation between fully parallel per-device links
-(``contention=0``) and one fully serialised shared link (``contention=1``).
+it: a host link with contention ``c`` shared by ``n`` devices stretches the
+*streaming* portion of each of their transfers by ``1 + c·(n - 1)`` (the
+fixed DMA-setup latency is per-device and does not stretch).  With equal
+shards this charge equals the model's interpolation between fully parallel
+per-device links (``c=0``) and one fully serialised shared link (``c=1``).
 
 The pool's **makespan** is the completion time of the slowest device
 (straggler), to be compared against :attr:`serial_time_s`, the back-to-back
@@ -25,13 +27,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.topology import Topology, contention_stretch
+from repro.core.topology import Topology, contention_stretch, resolve_fleet
 from repro.core.transfer import TransferDirection
 from repro.simulator.config import DeviceConfig
 from repro.simulator.streams import Stream, StreamOp, StreamOpKind, StreamTimeline
 from repro.simulator.timing import KernelTiming
 from repro.simulator.transfer_engine import TransferEngine, TransferRecord
-from repro.utils.validation import ensure_in_range, ensure_positive_int
 
 
 def contended_duration_grid(config: DeviceConfig, base_durations, stretch: float):
@@ -56,26 +57,26 @@ def contended_duration_grid(config: DeviceConfig, base_durations, stretch: float
 
 
 class DevicePool:
-    """``P`` stream timelines over one (or, with a topology, several) host links.
+    """``P`` stream timelines over the host links of a fleet topology.
 
     Parameters
     ----------
     devices:
-        Number of simulated devices in the pool.  Optional when
-        ``topology`` is given (it then defaults to the topology's device
-        count; both may be passed if they agree).
+        Number of simulated devices in the pool.  Required without a
+        ``topology``; beside one it may only repeat its device count.
     config:
         The per-device configuration (all devices are identical); defaults
         to the GTX-650-like device.
     contention:
-        Interconnect-contention factor in ``[0, 1]`` (see module docs).
-        Ignored when ``topology`` is given — each device then stretches by
-        its *own socket's* host-link contention over the devices sharing
-        that socket.
+        Interconnect-contention factor in ``[0, 1]`` of the one host link
+        ``devices`` share (``None`` means ``0.0``).  It must stay ``None``
+        beside a ``topology``, whose host links carry their own.
     topology:
-        Optional :class:`~repro.core.topology.Topology`.  Devices on a
-        socket with ``n`` peers and host-link contention ``c`` stretch
-        their streaming time by :func:`~repro.core.topology.contention_stretch`
+        The :class:`~repro.core.topology.Topology` of the pool; without
+        one it is ``Topology.homogeneous(devices, contention)`` (see
+        :func:`~repro.core.topology.resolve_fleet`).  Devices on a socket
+        with ``n`` peers and host-link contention ``c`` stretch their
+        streaming time by :func:`~repro.core.topology.contention_stretch`
         ``(n, c)``; devices on different sockets do not contend with each
         other, so heterogeneous fleets get per-device link stretch from
         the same description the analytic model prices.
@@ -85,41 +86,21 @@ class DevicePool:
         self,
         devices: Optional[int] = None,
         config: Optional[DeviceConfig] = None,
-        contention: float = 0.0,
+        contention: Optional[float] = None,
         topology: Optional[Topology] = None,
     ) -> None:
-        if topology is not None:
-            if not isinstance(topology, Topology):
-                raise TypeError(
-                    "topology must be a Topology, got "
-                    f"{type(topology).__name__}"
-                )
-            if devices is not None and devices != topology.num_devices:
-                raise ValueError(
-                    f"devices={devices} disagrees with the topology's "
-                    f"{topology.num_devices} devices"
-                )
-            devices = topology.num_devices
-        elif devices is None:
-            raise ValueError("a device pool needs devices or a topology")
-        self.num_devices = ensure_positive_int(devices, "devices")
+        self.topology = resolve_fleet(
+            devices, contention, topology, default_devices=None
+        )
+        self.num_devices = self.topology.num_devices
         self.config = config or DeviceConfig.gtx650()
-        self.contention = ensure_in_range(contention, "contention", 0.0, 1.0)
-        self.topology = topology
-        if topology is None:
-            stretch = contention_stretch(self.num_devices, self.contention)
-            self._stretches: Tuple[float, ...] = (
-                stretch,
-            ) * self.num_devices
-        else:
-            stretches = []
-            for device in topology.devices:
-                link = topology.host_link(device.socket)
-                peers = len(topology.devices_on_socket(device.socket))
-                stretches.append(
-                    contention_stretch(peers, link.contention)
-                )
-            self._stretches = tuple(stretches)
+        self._stretches: Tuple[float, ...] = tuple(
+            contention_stretch(
+                len(self.topology.devices_on_socket(device.socket)),
+                self.topology.host_link(device.socket).contention,
+            )
+            for device in self.topology.devices
+        )
         self.transfer_engine = TransferEngine(self.config)
         self.timelines: List[StreamTimeline] = [
             StreamTimeline() for _ in range(self.num_devices)
@@ -131,10 +112,10 @@ class DevicePool:
     # ------------------------------------------------------------------ #
     @property
     def link_stretch(self) -> float:
-        """Streaming-time multiplier, ``1 + c·(P-1)``, worst link first.
+        """Streaming-time multiplier, ``1 + c·(n-1)``, of the worst link.
 
-        Without a topology every device shares one link so this is *the*
-        stretch; with one it is the most-contended socket's (use
+        On a homogeneous pool every device shares one link, so this is
+        *the* stretch; otherwise it is the most-contended socket's (use
         :meth:`device_stretch` for a specific device).
         """
         return max(self._stretches)
@@ -156,9 +137,9 @@ class DevicePool:
     ) -> float:
         """Seconds one device spends moving ``words`` words over its link.
 
-        ``device`` selects the per-device stretch under a topology; when
-        omitted the pool-wide (worst-link) stretch applies, which matches
-        the pre-topology behaviour for homogeneous pools.
+        ``device`` selects that device's link stretch; when omitted the
+        pool-wide (worst-link) stretch applies, which is every device's
+        on a homogeneous pool.
         """
         base = self.transfer_engine.duration(words, direction, pinned=pinned)
         stretch = (
@@ -279,10 +260,9 @@ class DevicePool:
         A single device has the link to itself, so transfers count at their
         *uncontended* durations here (the stretched durations are what the
         pool's timelines were charged); comparing against :attr:`makespan_s`
-        therefore prices sharding and contention together, matching
-        :meth:`repro.core.sharding.ShardedCostModel.scaling_speedup`.  Only
-        operations submitted through the pool's own ``add_*`` methods are
-        counted.
+        therefore prices sharding and contention together, as the analytic
+        serial-over-sharded cost ratio does.  Only operations submitted
+        through the pool's own ``add_*`` methods are counted.
         """
         return self._serial_time_s
 
@@ -303,20 +283,12 @@ class DevicePool:
 
     def render(self) -> str:
         """Profiler-style rendering: one section per device."""
-        if self.topology is None:
-            header = (
-                f"Pool: {self.num_devices} devices, contention "
-                f"{self.contention:g} (link stretch {self.link_stretch:g}x), "
-                f"makespan {self.makespan_s * 1e3:.4f} ms"
-            )
-        else:
-            header = (
-                f"Pool: {self.num_devices} devices over "
-                f"{len(self.topology.sockets)} socket(s) (worst link "
-                f"stretch {self.link_stretch:g}x), "
-                f"makespan {self.makespan_s * 1e3:.4f} ms"
-            )
-        sections = [header]
+        sections = [
+            f"Pool: {self.num_devices} devices over "
+            f"{len(self.topology.sockets)} socket(s) (worst link "
+            f"stretch {self.link_stretch:g}x), "
+            f"makespan {self.makespan_s * 1e3:.4f} ms"
+        ]
         for index, timeline in enumerate(self.timelines):
             sections.append(
                 f"-- device {index} "

@@ -38,7 +38,8 @@ from repro.core.backends import overlapped_cost
 from repro.core.metrics import AlgorithmMetrics, CapacityError, RoundMetrics
 from repro.core.prediction import predict_sweep, predict_sweep_batch
 from repro.core.presets import GTX_650, GTX_980
-from repro.core.sharding import sharded_gpu_cost
+from repro.core.sharding import topology_cost_batch, topology_gpu_cost
+from repro.core.topology import DeviceSpec, LinkSpec, Topology
 
 ALGORITHMS = [VectorAddition, Reduction, MatrixMultiplication]
 FAMILY_BACKENDS = (
@@ -204,6 +205,18 @@ class TestBackendParity:
             chunks = int(rng.integers(1, 6))
             devices = int(rng.integers(1, 6))
             contention = float(rng.choice([0.0, 0.25, 1.0]))
+            fleet = Topology.homogeneous(devices, contention)
+            fleet_costs = [
+                topology_gpu_cost(m, machine, parameters, occupancy, fleet)
+                for m in metrics_list
+            ]
+            # The same fleet with its α/β restated on the host link: not
+            # uniform, so topology_cost_batch takes its general path.
+            restated = Topology(
+                devices=(DeviceSpec(),) * devices,
+                links=(LinkSpec(contention=contention, alpha=parameters.alpha,
+                                beta=parameters.beta),),
+            )
             expectations = {
                 "gpu": (
                     gpu_cost_batch(batch, machine, parameters, occupancy),
@@ -231,9 +244,12 @@ class TestBackendParity:
                     sharded_cost_batch(batch, machine, parameters, occupancy,
                                        devices=devices,
                                        contention=contention),
-                    [sharded_gpu_cost(m, machine, parameters, occupancy,
-                                      devices=devices, contention=contention)
-                     for m in metrics_list],
+                    fleet_costs,
+                ),
+                "topology": (
+                    topology_cost_batch(batch, machine, parameters,
+                                        occupancy, restated),
+                    fleet_costs,
                 ),
             }
             for family, (got, expected) in expectations.items():

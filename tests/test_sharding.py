@@ -1,6 +1,7 @@
-"""Tests for the multi-GPU sharding subsystem: the sharded transfer/cost
-models, the ``atgpu-multi`` backend, the simulator :class:`DevicePool`, the
-sharded algorithm execution modes, and the scaling figures/tables."""
+"""Tests for the multi-GPU sharding subsystem: the homogeneous-fleet cost
+(``Topology.homogeneous(devices, contention)``), the ``atgpu-multi``
+backend, the simulator :class:`DevicePool`, the sharded algorithm execution
+modes, and the scaling figures/tables."""
 
 from __future__ import annotations
 
@@ -17,16 +18,10 @@ from repro.core.backends import (
     unregister_backend,
 )
 from repro.core.cost import ATGPUCostModel
-from repro.core.metrics import RoundMetrics
 from repro.core.presets import GTX_650
-from repro.core.sharding import (
-    ShardedCostModel,
-    ShardedTransferModel,
-    largest_shard,
-    shard_sizes,
-    sharded_gpu_cost,
-)
-from repro.core.transfer import BoyerTransferModel, TransferDirection
+from repro.core.sharding import TopologyCostModel, topology_gpu_cost
+from repro.core.topology import Topology
+from repro.core.transfer import TransferDirection
 from repro.experiments import (
     ExperimentSpec,
     Session,
@@ -41,171 +36,44 @@ from repro.simulator.device_pool import DevicePool
 from repro.workloads.sweeps import SHARD_COUNT_SWEEP
 
 
-@pytest.fixture
-def round_metrics() -> RoundMetrics:
-    """A transfer-heavy round similar to vector addition's."""
-    return RoundMetrics(
-        time=3.0,
-        io_blocks=96.0,
-        inward_words=2_000_000.0,
-        outward_words=1_000_000.0,
-        inward_transactions=2,
-        outward_transactions=1,
-        global_words=3_000_000.0,
-        shared_words_per_mp=96.0,
-        thread_blocks=31_250,
+def fleet_cost(metrics, devices, contention=0.0, preset=GTX_650) -> float:
+    """GPU-cost of ``metrics`` on ``Topology.homogeneous(devices, contention)``."""
+    return topology_gpu_cost(
+        metrics, preset.machine, preset.parameters, preset.occupancy,
+        Topology.homogeneous(devices, contention),
     )
 
 
-class TestShardHelpers:
-    def test_largest_shard_integral_words(self):
-        assert largest_shard(10.0, 3) == 4.0
-        assert largest_shard(10.0, 1) == 10.0
-        assert largest_shard(10.0, 10) == 1.0
-        assert largest_shard(10.0, 16) == 1.0
-        assert largest_shard(0.0, 4) == 0.0
-
-    def test_largest_shard_fractional_words_split_evenly(self):
-        assert largest_shard(10.5, 2) == 5.25
-
-    def test_shard_sizes_near_equal_with_idle_tail(self):
-        assert shard_sizes(10, 3) == [4, 3, 3]
-        assert shard_sizes(2, 4) == [1, 1, 0, 0]
-        assert sum(shard_sizes(1234, 7)) == 1234
-
-    def test_largest_shard_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            largest_shard(-1.0, 2)
-        with pytest.raises(ValueError):
-            largest_shard(4.0, 0)
-
-
-class TestShardedTransferModel:
-    def test_one_device_matches_boyer_bit_for_bit(self, round_metrics):
-        boyer = BoyerTransferModel(alpha=1.5e-5, beta=1.25e-9)
-        for contention in (0.0, 0.3, 1.0):
-            sharded = ShardedTransferModel(
-                alpha=1.5e-5, beta=1.25e-9, devices=1, contention=contention
-            )
-            assert sharded.inward_cost(round_metrics) == boyer.inward_cost(round_metrics)
-            assert sharded.outward_cost(round_metrics) == boyer.outward_cost(round_metrics)
-            assert sharded.round_cost(round_metrics) == boyer.round_cost(round_metrics)
-
-    def test_full_contention_recovers_serial_streaming(self, round_metrics):
-        boyer = BoyerTransferModel(alpha=1.5e-5, beta=1.25e-9)
-        for devices in (2, 3, 8):
-            sharded = ShardedTransferModel(
-                alpha=1.5e-5, beta=1.25e-9, devices=devices, contention=1.0
-            )
-            assert sharded.round_cost(round_metrics) == pytest.approx(
-                boyer.round_cost(round_metrics)
-            )
-
-    def test_independent_links_monotone_non_increasing_in_devices(
-        self, round_metrics
-    ):
-        costs = [
-            ShardedTransferModel(
-                alpha=1.5e-5, beta=1.25e-9, devices=p
-            ).round_cost(round_metrics)
-            for p in (1, 2, 3, 4, 8, 16, 64)
-        ]
-        assert all(a >= b for a, b in zip(costs, costs[1:]))
-
-    def test_cost_monotone_non_decreasing_in_contention(self, round_metrics):
-        costs = [
-            ShardedTransferModel(
-                alpha=1.5e-5, beta=1.25e-9, devices=4, contention=c
-            ).round_cost(round_metrics)
-            for c in (0.0, 0.25, 0.5, 0.75, 1.0)
-        ]
-        assert all(a <= b for a, b in zip(costs, costs[1:]))
-
-    def test_alpha_charged_once_per_logical_transaction(self):
-        model = ShardedTransferModel(alpha=1.0, beta=0.0, devices=8)
-        assert model.cost(1000.0, transactions=3) == 3.0
-
-    def test_positive_words_require_a_transaction(self):
-        model = ShardedTransferModel(alpha=1.0, beta=1.0, devices=2)
-        with pytest.raises(ValueError):
-            model.cost(10.0, transactions=0)
-
-    def test_contention_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedTransferModel(alpha=0.0, beta=0.0, devices=2, contention=1.5)
-
-
-class TestShardedCostModel:
-    @pytest.mark.parametrize(
-        "algorithm_cls, n",
-        [(VectorAddition, 1_000_000), (Reduction, 1 << 18)],
-    )
-    def test_one_device_reproduces_serial_gpu_cost_exactly(
-        self, algorithm_cls, n
-    ):
-        preset = GTX_650
-        metrics = algorithm_cls().metrics(n, preset.machine)
-        serial = ATGPUCostModel(
-            preset.machine, preset.parameters, preset.occupancy
-        ).gpu_cost(metrics)
-        sharded = ShardedCostModel(
-            preset.machine, preset.parameters, preset.occupancy, devices=1
-        ).gpu_cost(metrics)
-        assert sharded == serial
-
+class TestHomogeneousFleetCost:
     def test_cost_non_increasing_in_devices_on_independent_links(self):
-        preset = GTX_650
-        metrics = VectorAddition().metrics(2_000_000, preset.machine)
-        costs = [
-            ShardedCostModel(
-                preset.machine, preset.parameters, preset.occupancy, devices=p
-            ).gpu_cost(metrics)
-            for p in SHARD_COUNT_SWEEP.sizes
-        ]
+        metrics = VectorAddition().metrics(2_000_000, GTX_650.machine)
+        costs = [fleet_cost(metrics, p) for p in SHARD_COUNT_SWEEP.sizes]
         assert all(a >= b for a, b in zip(costs, costs[1:]))
         assert costs[-1] < costs[0]
 
     def test_speedup_bounded_by_device_count(self):
         preset = GTX_650
         metrics = VectorAddition().metrics(2_000_000, preset.machine)
+        serial = ATGPUCostModel(
+            preset.machine, preset.parameters, preset.occupancy
+        ).gpu_cost(metrics)
         for devices in (2, 4, 8):
-            model = ShardedCostModel(
-                preset.machine, preset.parameters, preset.occupancy,
-                devices=devices,
-            )
-            speedup = model.scaling_speedup(metrics)
+            speedup = serial / fleet_cost(metrics, devices)
             assert 1.0 <= speedup <= devices + 1e-9
 
     def test_contention_degrades_scaling(self):
-        preset = GTX_650
-        metrics = VectorAddition().metrics(2_000_000, preset.machine)
-        free = ShardedCostModel(
-            preset.machine, preset.parameters, preset.occupancy,
-            devices=4, contention=0.0,
-        ).gpu_cost(metrics)
-        contended = ShardedCostModel(
-            preset.machine, preset.parameters, preset.occupancy,
-            devices=4, contention=1.0,
-        ).gpu_cost(metrics)
+        metrics = VectorAddition().metrics(2_000_000, GTX_650.machine)
+        free = fleet_cost(metrics, 4, contention=0.0)
+        contended = fleet_cost(metrics, 4, contention=1.0)
         assert contended > free
-
-    def test_straggler_blocks_and_device_times(self):
-        preset = GTX_650
-        model = ShardedCostModel(
-            preset.machine, preset.parameters, preset.occupancy, devices=3
-        )
-        assert model.straggler_blocks(10) == 4
-        round_metrics = VectorAddition().metrics(
-            1_000_000, preset.machine
-        )[0]
-        times = model.device_round_times(round_metrics)
-        assert len(times) == 3
-        assert max(times) == times[0]
 
     def test_requires_occupancy(self):
         preset = GTX_650
         with pytest.raises(ValueError):
-            ShardedCostModel(preset.machine, preset.parameters, None)
+            TopologyCostModel(
+                preset.machine, preset.parameters, None,
+                Topology.homogeneous(2),
+            )
 
 
 class TestShardedBackend:
@@ -318,6 +186,7 @@ class TestDevicePool:
         pool.add_transfer(1, 10_000, TransferDirection.HOST_TO_DEVICE, label="big")
         assert pool.straggler == 1
         text = pool.render()
+        assert text.startswith("Pool: 2 devices over 1 socket(s)")
         assert "device 0" in text and "device 1" in text and "big" in text
 
     def test_engine_busy_times_aggregate_across_devices(self):
@@ -383,13 +252,7 @@ class TestShardedRuns:
         n = 400_000
         metrics = algorithm.metrics(n, preset.machine)
         counts = (1, 2, 4)
-        model_costs = [
-            sharded_gpu_cost(
-                metrics, preset.machine, preset.parameters, preset.occupancy,
-                devices=p,
-            )
-            for p in counts
-        ]
+        model_costs = [fleet_cost(metrics, p, preset=preset) for p in counts]
         sim_spans = [
             algorithm.observe_sharded(n, devices=p, seed=0).makespan_s
             for p in counts
@@ -414,7 +277,7 @@ class TestShardedRuns:
         device = GPUDevice(DeviceConfig.gtx650())
         inputs = algorithm.generate_input(64_000, seed=0)
         algorithm.run_sharded(device, inputs, devices=8)
-        # chunk_bounds yields at most two distinct shard sizes.
+        # A near-even split yields at most two distinct shard sizes.
         assert len(calls) <= 2
 
     def test_contention_slows_the_simulated_pool(self):

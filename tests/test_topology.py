@@ -5,9 +5,11 @@ topology-aware cost model and its batch evaluator, the auto-registered
 serving-layer coalescing key, the topology-driven :class:`DevicePool`
 and the topology-aware sharded execution modes.
 
-The anchor property throughout: a **homogeneous** topology must be
-bit-for-bit identical to the PR 3 ``(devices, contention)`` model at
-every layer — ``atgpu-multi`` is a thin shim over it."""
+A ``(devices, contention)`` pair is ``Topology.homogeneous(devices,
+contention)`` at every layer.  That fleet is checked against independent
+oracles (:class:`TestHomogeneousOracles`): Expression (2) at ``P=1``, the
+serial Boyer transfer at ``c=1``, a hand-computed closed form, and three
+cost implementations agreeing bit for bit."""
 
 from __future__ import annotations
 
@@ -29,15 +31,16 @@ from repro.core.backends import (
     unregister_backend,
 )
 from repro.core.batch import MetricsBatch, sharded_cost_batch
-from repro.core.presets import GTX_650, get_preset
+from repro.core.cost import ATGPUCostModel, CostParameters
+from repro.core.metrics import AlgorithmMetrics, RoundMetrics
+from repro.core.presets import GTX_650, GTX_980, get_preset
 from repro.core.sharding import (
-    ShardedCostModel,
     TopologyCostModel,
-    shard_sizes,
     topology_cost_batch,
     topology_gpu_cost,
 )
 from repro.core.topology import (
+    DEFAULT_SHARD_DEVICES,
     DeviceSpec,
     LinkSpec,
     Topology,
@@ -45,12 +48,14 @@ from repro.core.topology import (
     contention_stretch,
     plan_bounds,
     plan_shards,
+    resolve_fleet,
     straggler_finish,
 )
-from repro.core.transfer import TransferDirection
+from repro.core.transfer import BoyerTransferModel, TransferDirection
 from repro.experiments import ExperimentSpec, Session
 from repro.experiments.session import predict_group
 from repro.serving.queue import PredictionRequest
+from repro.simulator.batch import simulate_sharded_sweep
 from repro.simulator.config import DeviceConfig
 from repro.simulator.device import GPUDevice
 from repro.simulator.device_pool import DevicePool
@@ -162,6 +167,14 @@ class TestTopologyConstruction:
         assert fleet.host_link(0).contention == 0.3
         assert not fleet.has_p2p
 
+    def test_homogeneous_validates_devices_and_contention(self):
+        with pytest.raises(ValueError):
+            Topology.homogeneous(0)
+        with pytest.raises(ValueError):
+            Topology.homogeneous(2, contention=1.5)
+        with pytest.raises(ValueError):
+            Topology.homogeneous(2, contention=-0.1)
+
     def test_topology_is_hashable_and_usable_as_a_key(self):
         a = Topology.homogeneous(2)
         b = Topology.homogeneous(2)
@@ -255,12 +268,16 @@ class TestTopologySerialisation:
 
 
 class TestPlanShards:
-    def test_equal_weights_match_pr3_shard_sizes_exactly(self):
+    def test_equal_weights_split_near_evenly(self):
+        assert plan_shards(10, (2.0,) * 3) == [4, 3, 3]
+        assert plan_shards(2, (2.0,) * 4) == [1, 1, 0, 0]
         for total in (0, 1, 10, 1234):
             for count in (1, 3, 7):
-                assert plan_shards(total, (2.0,) * count) == shard_sizes(
-                    total, count
-                )
+                base, extra = divmod(total, count)
+                assert plan_shards(total, (2.0,) * count) == [
+                    base + (1 if index < extra else 0)
+                    for index in range(count)
+                ]
 
     def test_conservation_and_non_negativity(self):
         shards = plan_shards(1000, (1.0, 3.0, 2.5))
@@ -289,7 +306,7 @@ class TestPlanShards:
         weights = HETERO.throughputs(GTX_650.parameters, GTX_650.occupancy)
         total = 31_250
         planned = plan_shards(total, weights)
-        even = shard_sizes(total, len(weights))
+        even = plan_shards(total, (1.0,) * len(weights))
         assert straggler_finish(planned, weights) < straggler_finish(
             even, weights
         )
@@ -319,48 +336,181 @@ class TestPlanShards:
             straggler_finish((1, 2), (1.0,))
 
 
-class TestHomogeneousParity:
-    """Satellite 3: homogeneous ``Topology`` == ``atgpu-multi``, bit for bit."""
+#: Sizes the homogeneous-fleet oracles add to each default sweep.
+ORACLE_EXTRA_SIZES = (1, 2, 3, 7, 31, 33, 1000, 4097)
 
-    COMBOS = ((1, 0.0), (2, 0.0), (3, 0.4), (4, 1.0))
-    SIZES = (64, 1024, 4096)
+
+def oracle_sizes(algorithm):
+    """An algorithm's default sweep plus :data:`ORACLE_EXTRA_SIZES`."""
+    return sorted(set(algorithm.default_sizes()) | set(ORACLE_EXTRA_SIZES))
+
+
+def restated_fleet(devices, contention, parameters):
+    """``Topology.homogeneous(devices, contention)`` with a host link that
+    restates the fleet's ``α``/``β``: the prices are the same, but the
+    fleet is not uniform, so the batch evaluator takes its general path."""
+    return Topology(
+        devices=(DeviceSpec(),) * devices,
+        links=(LinkSpec(
+            contention=contention,
+            alpha=parameters.alpha,
+            beta=parameters.beta,
+        ),),
+    )
+
+
+class TestHomogeneousOracles:
+    """``Topology.homogeneous(P, c)`` against independent oracles."""
+
+    PRESETS = (GTX_650, GTX_980)
+    DEVICES = (1, 2, 3, 4, 8, 16)
+    CONTENTIONS = (0.0, 0.25, 0.4, 1.0)
 
     @pytest.mark.parametrize("name", all_algorithm_names())
-    def test_scalar_costs_identical_across_all_algorithms(self, name):
-        preset = GTX_650
+    def test_single_device_is_expression_2(self, name):
+        """(a) ``P=1`` is the ``atgpu`` cost for every contention."""
         algorithm = create(name)
-        for n in self.SIZES:
-            metrics = algorithm.metrics(n, preset.machine)
-            for devices, contention in self.COMBOS:
-                legacy = ShardedCostModel(
-                    preset.machine, preset.parameters, preset.occupancy,
-                    devices=devices, contention=contention,
-                ).gpu_cost(metrics)
-                fleet = topology_gpu_cost(
-                    metrics, preset.machine, preset.parameters,
-                    preset.occupancy,
-                    Topology.homogeneous(devices, contention),
-                )
-                assert fleet == legacy, (name, n, devices, contention)
+        for preset in self.PRESETS:
+            serial = ATGPUCostModel(
+                preset.machine, preset.parameters, preset.occupancy
+            )
+            for n in oracle_sizes(algorithm):
+                metrics = algorithm.metrics(n, preset.machine)
+                expected = serial.gpu_cost(metrics)
+                for contention in self.CONTENTIONS:
+                    assert topology_gpu_cost(
+                        metrics, preset.machine, preset.parameters,
+                        preset.occupancy,
+                        Topology.homogeneous(1, contention),
+                    ) == expected, (preset.name, n, contention)
 
     @pytest.mark.parametrize("name", all_algorithm_names())
-    def test_batch_costs_identical_across_all_algorithms(self, name):
-        preset = GTX_650
+    def test_fast_path_general_path_and_scalar_agree(self, name):
+        """(b) ``sharded_cost_batch``, ``topology_cost_batch``'s general
+        path and per-size ``topology_gpu_cost`` agree bit for bit."""
         algorithm = create(name)
-        batch = MetricsBatch.compile(
-            name, self.SIZES,
-            metrics_factory=lambda n: algorithm.metrics(n, preset.machine),
+        sizes = oracle_sizes(algorithm)
+        for preset in self.PRESETS:
+            args = (preset.machine, preset.parameters, preset.occupancy)
+            batch = algorithm.compile_batch(sizes, preset=preset)
+            metrics = [algorithm.metrics(n, preset.machine) for n in sizes]
+            for devices in self.DEVICES:
+                for contention in self.CONTENTIONS:
+                    fleet = Topology.homogeneous(devices, contention)
+                    general = restated_fleet(
+                        devices, contention, preset.parameters
+                    )
+                    assert fleet.is_uniform and not general.is_uniform
+                    scalar = np.array([
+                        topology_gpu_cost(m, *args, fleet) for m in metrics
+                    ])
+                    fast = sharded_cost_batch(
+                        batch, *args, devices=devices, contention=contention
+                    )
+                    case = (preset.name, devices, contention)
+                    assert np.array_equal(fast, scalar), case
+                    assert np.array_equal(
+                        topology_cost_batch(batch, *args, general), scalar
+                    ), case
+                    assert np.array_equal(
+                        topology_cost_batch(batch, *args, fleet), fast
+                    ), case
+
+    def test_closed_form_round(self, machine, parameters, occupancy):
+        """(c) One round at ``P=3``, ``c=0.25``, priced by hand."""
+        round_metrics = RoundMetrics(
+            time=5.0, io_blocks=40.0,
+            inward_words=1000.0, outward_words=101.0,
+            inward_transactions=2, outward_transactions=1,
+            shared_words_per_mp=100.0, thread_blocks=100,
         )
-        for devices, contention in self.COMBOS:
-            legacy = sharded_cost_batch(
-                batch, preset.machine, preset.parameters, preset.occupancy,
-                devices=devices, contention=contention,
+        devices, c = 3, 0.25
+        alpha, beta = parameters.alpha, parameters.beta
+        # The straggler (device 0) holds ⌈1000/3⌉ = 334 inward words,
+        # ⌈101/3⌉ = 34 outward words and ⌈100/3⌉ = 34 thread blocks.
+        # Occupancy resolves 8 resident blocks on each of 2 MPs, so 34
+        # blocks run in ⌈34/16⌉ = 3 waves.
+        expected = {
+            "inward_transfer": 2 * alpha + (c * 1000 + (1 - c) * 334) * beta,
+            "outward_transfer": 1 * alpha + (c * 101 + (1 - c) * 34) * beta,
+            "compute": 3 * 5.0 / parameters.gamma,
+            "io": parameters.lam * 40.0 * (34 / 100) / parameters.gamma,
+            "synchronisation": parameters.sigma,
+        }
+        model = TopologyCostModel(
+            machine, parameters, occupancy, Topology.homogeneous(devices, c)
+        )
+        breakdown = model.round_breakdown(round_metrics)
+        for field, value in expected.items():
+            assert getattr(breakdown, field) == value, field
+        metrics = AlgorithmMetrics([round_metrics])
+        scalar = model.gpu_cost(metrics)
+        assert scalar == pytest.approx(sum(expected.values()), rel=1e-15)
+        batch = MetricsBatch.from_metrics([1], [metrics])
+        args = (machine, parameters, occupancy)
+        fast = sharded_cost_batch(batch, *args, devices=devices, contention=c)
+        general = topology_cost_batch(
+            batch, *args, restated_fleet(devices, c, parameters)
+        )
+        assert fast[0] == general[0] == scalar
+
+    @pytest.mark.parametrize(
+        "words, devices, shard",
+        [
+            (10.0, 3, 4.0), (10.0, 1, 10.0), (10.0, 10, 1.0),
+            (10.0, 16, 1.0), (0.0, 4, 0.0), (10.5, 2, 5.25),
+        ],
+    )
+    def test_straggler_word_shard(self, machine, occupancy, words, devices,
+                                  shard):
+        """(c) On independent links with ``α=0``, ``β=1`` a transfer costs
+        the straggler's shard: ``⌈W/P⌉`` whole words, ``W/P`` for a
+        fractional count."""
+        parameters = CostParameters(
+            gamma=1.0, lam=0.0, sigma=0.0, alpha=0.0, beta=1.0
+        )
+        round_metrics = RoundMetrics(
+            time=1.0, io_blocks=0.0, inward_words=words,
+            inward_transactions=1 if words else 0, thread_blocks=1,
+        )
+        model = TopologyCostModel(
+            machine, parameters, occupancy, Topology.homogeneous(devices)
+        )
+        assert model.round_breakdown(round_metrics).inward_transfer == shard
+        batch = MetricsBatch.from_metrics(
+            [1], [AlgorithmMetrics([round_metrics])]
+        )
+        args = (machine, parameters, occupancy)
+        fast = sharded_cost_batch(batch, *args, devices=devices)
+        general = topology_cost_batch(
+            batch, *args, restated_fleet(devices, 0.0, parameters)
+        )
+        scalar = model.gpu_cost(AlgorithmMetrics([round_metrics]))
+        assert fast[0] == general[0] == scalar
+
+    @pytest.mark.parametrize("name", all_algorithm_names())
+    def test_full_contention_transfer_is_serial_boyer(self, name):
+        """(d) At ``c=1`` every round's transfer terms are Boyer's."""
+        algorithm = create(name)
+        for preset in self.PRESETS:
+            boyer = BoyerTransferModel(
+                alpha=preset.parameters.alpha, beta=preset.parameters.beta
             )
-            fleet = topology_cost_batch(
-                batch, preset.machine, preset.parameters, preset.occupancy,
-                Topology.homogeneous(devices, contention),
-            )
-            assert np.array_equal(fleet, legacy), (name, devices, contention)
+            for devices in self.DEVICES:
+                model = TopologyCostModel(
+                    preset.machine, preset.parameters, preset.occupancy,
+                    Topology.homogeneous(devices, 1.0),
+                )
+                for n in oracle_sizes(algorithm):
+                    for r in algorithm.metrics(n, preset.machine):
+                        breakdown = model.round_breakdown(r)
+                        case = (preset.name, devices, n)
+                        assert breakdown.inward_transfer == (
+                            boyer.inward_cost(r)
+                        ), case
+                        assert breakdown.outward_transfer == (
+                            boyer.outward_cost(r)
+                        ), case
 
     def test_sharded_backend_is_a_topology_shim(self):
         preset = GTX_650
@@ -470,6 +620,14 @@ class TestTopologyBackends:
         )
         even = make_topology_backend(HETERO, planner="even")
         assert even.name.endswith("-even")
+
+    def test_unknown_planner_rejected_before_naming(self):
+        before = set(backend_names())
+        with pytest.raises(ValueError, match="planner"):
+            make_topology_backend(HETERO, planner="random")
+        with pytest.raises(ValueError, match="planner"):
+            ensure_topology_backend(HETERO, planner="random")
+        assert set(backend_names()) == before
 
     def test_ensure_is_idempotent_and_registers(self):
         name = ensure_topology_backend(HETERO)
@@ -617,6 +775,7 @@ class TestDevicePoolTopology:
         fleet = DevicePool(
             config=config, topology=Topology.homogeneous(4, 0.5)
         )
+        assert plain.topology == fleet.topology
         words = 100_000
         assert fleet.link_stretch == plain.link_stretch
         for device in range(4):
@@ -663,6 +822,89 @@ class TestDevicePoolTopology:
     def test_render_mentions_the_sockets(self):
         pool = DevicePool(topology=NUMA_P2P)
         assert "2 socket(s)" in pool.render()
+
+
+def _run_sharded(algorithm, **fleet):
+    device = GPUDevice(DeviceConfig.gtx650())
+    return algorithm.run_sharded(
+        device, algorithm.generate_input(1000), **fleet
+    )
+
+
+#: Every sharded entry point, called at n=1000 with the given fleet
+#: arguments (``devices``/``contention``/``topology``).
+SHARDED_ENTRY_POINTS = {
+    "run_sharded": _run_sharded,
+    "sim_shard_plan": lambda algorithm, **fleet: algorithm.sim_shard_plan(
+        1000, DeviceConfig.gtx650(), **fleet
+    ),
+    "observe_sharded": lambda algorithm, **fleet: algorithm.observe_sharded(
+        1000, **fleet
+    ),
+    "observe_sharded_sweep": (
+        lambda algorithm, **fleet: algorithm.observe_sharded_sweep(
+            [1000], **fleet
+        )
+    ),
+    "simulate_sharded_sweep": (
+        lambda algorithm, **fleet: simulate_sharded_sweep(
+            algorithm, [1000], **fleet
+        )
+    ),
+}
+
+
+class TestFleetResolution:
+    """``(devices, contention)`` and ``topology`` resolve in one place."""
+
+    def test_pair_is_the_homogeneous_topology(self):
+        assert resolve_fleet() == Topology.homogeneous(DEFAULT_SHARD_DEVICES)
+        assert resolve_fleet(3) == Topology.homogeneous(3, 0.0)
+        assert resolve_fleet(4, 0.5) == Topology.homogeneous(4, 0.5)
+        assert resolve_fleet(topology=HETERO) is HETERO
+        assert resolve_fleet(3, topology=HETERO) is HETERO
+        pool = DevicePool(4, contention=0.5)
+        assert pool.topology == Topology.homogeneous(4, 0.5)
+        assert DevicePool(2).topology == Topology.homogeneous(2)
+        run = VectorAddition().observe_sharded(1000)
+        assert run.pool.topology == Topology.homogeneous(DEFAULT_SHARD_DEVICES)
+
+    def test_devices_or_contention_beside_a_topology_raise(self):
+        with pytest.raises(ValueError, match="devices=4"):
+            VectorAddition().observe_sharded(10_000, devices=4, topology=HETERO)
+        with pytest.raises(ValueError):
+            VectorAddition().observe_sharded_sweep(
+                [10_000], devices=8, contention=1.0,
+                topology=Topology.homogeneous(2),
+            )
+        with pytest.raises(ValueError, match="contention"):
+            DevicePool(topology=Topology.homogeneous(4, 0.0), contention=0.9)
+
+    def test_any_contention_beside_a_topology_raises(self):
+        with pytest.raises(ValueError, match="contention"):
+            resolve_fleet(contention=0.0, topology=HETERO)
+        with pytest.raises(ValueError, match="contention"):
+            DevicePool(2, contention=0.0, topology=Topology.homogeneous(2))
+
+    def test_pool_still_needs_devices_or_a_topology(self):
+        with pytest.raises(ValueError, match="devices or a topology"):
+            resolve_fleet(default_devices=None)
+        with pytest.raises(TypeError):
+            resolve_fleet(topology=HETERO.to_dict())
+
+    @pytest.mark.parametrize("entry", sorted(SHARDED_ENTRY_POINTS))
+    @pytest.mark.parametrize("algorithm_cls", [VectorAddition, Reduction])
+    def test_entry_points_refuse_conflicting_fleet_arguments(
+        self, entry, algorithm_cls
+    ):
+        call = SHARDED_ENTRY_POINTS[entry]
+        algorithm = algorithm_cls()
+        with pytest.raises(ValueError, match="devices=4"):
+            call(algorithm, devices=4, topology=HETERO)
+        with pytest.raises(ValueError, match="contention"):
+            call(algorithm, contention=0.3, topology=HETERO)
+        # A device count that repeats the topology's is accepted.
+        call(algorithm, devices=HETERO.num_devices, topology=HETERO)
 
 
 class TestShardedRunsWithTopology:
