@@ -218,8 +218,10 @@ class GPUAlgorithm(abc.ABC):
     #: Whether this algorithm's kernel traces depend on input *values*
     #: rather than just indices.  ``False`` lets the batched-simulator probe
     #: skip host-buffer copies and vectorised data fallbacks (the timing
-    #: traces cannot change); pair it with a structural :meth:`sim_inputs`
-    #: override.  Opting out requires a scalar-parity test (lint ``SIM001``).
+    #: traces cannot change) and trace each block class of a launch once;
+    #: pair it with a structural :meth:`sim_inputs` override.  Opting out
+    #: requires a scalar-parity test and a block-class faithfulness
+    #: property test (lint ``SIM001``).
     sim_trace_data_dependent: bool = True
 
     # ------------------------------------------------------------------ #

@@ -318,10 +318,7 @@ class Reduction(GPUAlgorithm):
         src, dst = "a", "partials"
         for size in reduction_rounds(n, b):
             kernel = ReductionRoundKernel(size, b, src=src, dst=dst)
-            force_functional = None
-            if kernel.grid_size() > self._functional_limit:
-                force_functional = False
-            device.launch(kernel, force_functional=force_functional)
+            device.launch(kernel, force_functional=self._force_functional(kernel))
             device.synchronise(f"reduction level ({size} values)")
             src, dst = dst, src
         answer = device.memcpy_dtoh_partial(src, 1)
@@ -346,10 +343,17 @@ class Reduction(GPUAlgorithm):
     # ------------------------------------------------------------------ #
     # Streamed and sharded schedules
     # ------------------------------------------------------------------ #
-    def _timed_kernel(self, device: GPUDevice, kernel: ReductionRoundKernel):
-        """Sampled-trace timing of one reduction kernel (no data movement)."""
-        pairs, _ = device.functional_engine.execute_sampled(kernel)
-        return device.timing_engine.kernel_timing(kernel.name, pairs)
+    def _force_functional(self, kernel: ReductionRoundKernel) -> Optional[bool]:
+        """Launch override of :meth:`run`: sampled above the level limit."""
+        if kernel.grid_size() > self._functional_limit:
+            return False
+        return None
+
+    def _timed_kernel(
+        self, device: GPUDevice, kernel: ReductionRoundKernel
+    ) -> KernelTiming:
+        """Timing of one reduction level as :meth:`run` would launch it."""
+        return device.time_launch(kernel, self._force_functional(kernel))
 
     def _scratch_device(
         self, n: int, config, partials: int

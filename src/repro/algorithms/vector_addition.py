@@ -318,9 +318,7 @@ class VectorAddition(GPUAlgorithm):
             plan.h2d(stream, m, pinned=pinned)
             plan.h2d(stream, m, pinned=pinned)
             kernel = VectorAdditionKernel(m, config.warp_width)
-            pairs, _ = device.functional_engine.execute_sampled(kernel)
-            timing = device.timing_engine.kernel_timing(kernel.name, pairs)
-            plan.kernel(stream, timing)
+            plan.kernel(stream, device.time_launch(kernel))
             d2h_ops.append(plan.d2h(stream, m, pinned=pinned))
         plan.host("host", config.sync_overhead_s, wait=d2h_ops)
         return plan
@@ -366,10 +364,8 @@ class VectorAddition(GPUAlgorithm):
             plan.h2d(index, m, pinned=pinned)
             plan.h2d(index, m, pinned=pinned)
             if m not in timings:
-                kernel = VectorAdditionKernel(m, config.warp_width)
-                pairs, _ = device.functional_engine.execute_sampled(kernel)
-                timings[m] = device.timing_engine.kernel_timing(
-                    kernel.name, pairs
+                timings[m] = device.time_launch(
+                    VectorAdditionKernel(m, config.warp_width)
                 )
             plan.kernel(index, timings[m])
             plan.d2h(index, m, pinned=pinned)

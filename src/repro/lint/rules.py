@@ -497,6 +497,32 @@ class BatchParityCoverageRule(Rule):
 # --------------------------------------------------------------------- #
 # SIM001 — batched-simulator parity coverage
 # --------------------------------------------------------------------- #
+#: Vocabulary a test module must use, with the algorithm's name and a
+#: hypothesis ``@given`` test, to count as a block-class faithfulness
+#: property.
+_FAITHFULNESS_EVIDENCE = re.compile(r"faithful", re.IGNORECASE)
+
+
+def _defines_property_test(tree: ast.Module) -> bool:
+    """Whether a module decorates a function with hypothesis ``given``.
+
+    Decorators are read from the syntax tree, so a ``@given`` quoted in a
+    string (a lint fixture, say) does not count.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            func = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None
+            )
+            if name == "given":
+                return True
+    return False
+
+
 @register_rule
 class SimBatchParityCoverageRule(Rule):
     """SIM001: every batched simulator entry point has a scalar-parity test."""
@@ -506,9 +532,11 @@ class SimBatchParityCoverageRule(Rule):
     rationale = (
         "The batched observation paths promise bit-for-bit agreement with "
         "the scalar per-size loops, and algorithms asserting "
-        "sim_trace_data_dependent = False additionally promise their "
-        "traces ignore input values; either claim can drift silently "
-        "unless a test compares the two paths exactly."
+        "sim_trace_data_dependent = False additionally promise that their "
+        "traces ignore input values and that every block's trace matches "
+        "its block class's representative (the probe traces each class "
+        "once); these claims can drift silently unless a test compares the "
+        "two paths exactly and a property test checks every block."
     )
     #: File the batched entry points live in.
     batch_suffix = "simulator/batch.py"
@@ -553,14 +581,28 @@ class SimBatchParityCoverageRule(Rule):
             if opt_out is None:
                 continue
             algorithm = self._algorithm_name(cls)
+            missing = []
             if not self._has_parity_test(algorithm, ctx.test_files):
+                missing.append(
+                    "a scalar-parity assertion (proving the traces ignore "
+                    "input values)"
+                )
+            if not self._has_faithfulness_property(
+                algorithm, ctx.test_files
+            ):
+                missing.append(
+                    "a block-class faithfulness property (a hypothesis "
+                    "test mentioning 'faithful', proving every block's "
+                    "trace matches its class representative's)"
+                )
+            if missing:
                 yield self.finding(
                     source, opt_out.lineno,
                     f"algorithm {algorithm!r} sets "
                     "sim_trace_data_dependent = False but no test module "
-                    "mentions it together with a scalar-parity assertion; "
-                    "the opt-out is only sound while a parity test proves "
-                    "the traces ignore input values",
+                    "mentions it together with "
+                    + " nor with ".join(missing)
+                    + "; the opt-out is only sound while both hold",
                 )
 
     @staticmethod
@@ -609,6 +651,17 @@ class SimBatchParityCoverageRule(Rule):
             if needle in test.source and _PARITY_EVIDENCE.search(test.source):
                 return True
         return False
+
+    @staticmethod
+    def _has_faithfulness_property(
+        algorithm: str, test_files: Sequence[SourceFile]
+    ) -> bool:
+        return any(
+            algorithm in test.source
+            and _FAITHFULNESS_EVIDENCE.search(test.source)
+            and _defines_property_test(test.tree)
+            for test in test_files
+        )
 
 
 # --------------------------------------------------------------------- #

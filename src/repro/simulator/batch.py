@@ -15,7 +15,9 @@ This module packs a sweep into *array programs*, the way
    counts, per-launch trace aggregates, syncs) instead of timed events.
    Because the genuine host program executes — same allocations, same
    launch decisions, same representative-block traces — the recorded
-   program is structurally identical to the scalar run's timeline.
+   program is structurally identical to the scalar run's timeline.  For
+   index-only algorithms the probe traces each block class once and
+   expands it in block order, so no launch runs block by block.
 2. **Pack** — programs with the same operation structure are grouped and
    their per-operation quantities stacked into operations × sizes arrays.
 3. **Evaluate** — transfer durations come from
@@ -56,7 +58,6 @@ from repro.simulator.errors import LaunchError
 from repro.simulator.kernel import KernelProgram
 from repro.simulator.streams import ENGINE_FOR_KIND, StreamOpKind, StreamTimeline
 from repro.simulator.timing import KernelTiming, kernel_timing_grid
-from repro.simulator.trace import KernelCounters
 from repro.simulator.transfer_engine import TransferEngine, duration_grid
 
 #: Transfer direction of each copy kind of a plan operation.
@@ -82,12 +83,14 @@ class ProbeTransfer:
 class ProbeKernel:
     """One kernel launch, reduced to its trace-weighted aggregates.
 
-    The per-block aggregation (``KernelCounters.from_traces`` plus the
-    multiplicity-weighted issue/latency sums) is order-sensitive float
-    accumulation, so it happens scalarly at record time — exactly as the
-    scalar :meth:`~repro.simulator.timing.TimingEngine.kernel_timing`
-    performs it.  Everything downstream of these aggregates is elementwise
-    and vectorizes without changing a bit.
+    The per-block aggregation
+    (:meth:`~repro.simulator.timing.TimingEngine.launch_totals`) is
+    order-sensitive float accumulation, so it happens scalarly at record
+    time, over pairs in the order the scalar
+    :meth:`~repro.simulator.timing.TimingEngine.kernel_timing` sums them: one
+    ``(trace, 1)`` pair per block for a functional launch, one weighted pair
+    per block class for a sampled one.  Everything downstream of these
+    aggregates is elementwise and vectorizes without changing a bit.
     """
 
     name: str
@@ -119,10 +122,18 @@ class ProbeDevice(GPUDevice):
     the same global-memory offsets as on a scalar device (coalescing
     transaction counts depend on array base addresses), launch decisions
     follow the same functional-block-limit rule, and representative blocks
-    are traced identically.  With ``data_dependent=False`` the probe skips
-    host-buffer copies and vectorised data fallbacks: safe only for
-    algorithms whose traces depend on indices, not input values (see
-    ``GPUAlgorithm.sim_trace_data_dependent``).
+    are traced identically.
+
+    With ``data_dependent=False`` (index-only algorithms, see
+    ``GPUAlgorithm.sim_trace_data_dependent``) the probe skips host-buffer
+    copies and vectorised data fallbacks, and it traces each block class
+    once even where the scalar device executes every block:
+    :meth:`~repro.simulator.functional.FunctionalEngine.execute_classes`
+    expands the classes of a functional launch into per-block pairs in
+    block order.  The timing then equals ``observe(n)`` bit for bit as long
+    as every block's trace matches its class representative's, which the
+    block-class faithfulness property checks (lint ``SIM001``).
+    Data-dependent algorithms run every block, as on the scalar device.
     """
 
     def __init__(
@@ -183,32 +194,18 @@ class ProbeDevice(GPUDevice):
             return array.data[:count].copy()
         return array.data[:count]
 
+    def _execute(self, kernel: KernelProgram, functional: bool):
+        if self.data_dependent:
+            return super()._execute(kernel, functional)
+        return self.functional_engine.execute_classes(kernel, functional)
+
     def launch(self, kernel: KernelProgram, force_functional: Optional[bool] = None):
         kernel.validate(self.global_memory)
-        grid = kernel.grid_size()
-        functional = (
-            force_functional
-            if force_functional is not None
-            else grid <= self.config.functional_block_limit
+        pairs = self._execute(
+            kernel, self.launches_functionally(kernel, force_functional)
         )
-        if functional:
-            traces = self.functional_engine.execute_all(kernel)
-            pairs = [(trace, 1) for trace in traces]
-        else:
-            pairs, needs_fallback = self.functional_engine.execute_sampled(kernel)
-            if needs_fallback and self.data_dependent:
-                arrays = {
-                    name: self.global_memory.get(name)
-                    for name in kernel.array_names()
-                }
-                kernel.vectorised_result(arrays)
-        counters = KernelCounters.from_traces(kernel.name, pairs)
-        engine = self.timing_engine
-        total_issue = sum(
-            engine.block_issue_cycles(trace) * count for trace, count in pairs
-        )
-        total_latency = sum(
-            engine.block_latency_cycles(trace) * count for trace, count in pairs
+        counters, total_issue, total_latency = self.timing_engine.launch_totals(
+            kernel.name, pairs
         )
         self.ops.append(
             ProbeKernel(

@@ -15,6 +15,11 @@ Execution strategy for kernel launches:
   data results.  This keeps paper-scale sweeps (tens of millions of
   elements) tractable in pure Python while preserving the timing model's
   inputs (per-block instruction traces).
+
+Because a functional launch runs every block, ``observe(n)`` on this device
+is the independent oracle of the faster paths that trace each block class
+once: the batched probe (:mod:`repro.simulator.batch`) and the stream and
+shard plans (:meth:`GPUDevice.time_launch`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.simulator.functional import FunctionalEngine
 from repro.simulator.kernel import KernelProgram
 from repro.simulator.memory import DeviceArray, GlobalMemory, HostMemory
 from repro.simulator.timing import KernelTiming, TimingEngine
-from repro.simulator.trace import EventKind, Timeline
+from repro.simulator.trace import BlockTrace, EventKind, Timeline
 from repro.simulator.transfer_engine import TransferEngine, TransferRecord
 
 
@@ -155,6 +160,53 @@ class GPUDevice:
     # ------------------------------------------------------------------ #
     # Kernel launches
     # ------------------------------------------------------------------ #
+    def launches_functionally(
+        self, kernel: KernelProgram, force_functional: Optional[bool] = None
+    ) -> bool:
+        """Whether :meth:`launch` executes every block of ``kernel``.
+
+        ``force_functional`` overrides the automatic choice, which runs
+        grids of up to ``config.functional_block_limit`` blocks
+        functionally.
+        """
+        if force_functional is not None:
+            return force_functional
+        return kernel.grid_size() <= self.config.functional_block_limit
+
+    def _execute(
+        self, kernel: KernelProgram, functional: bool
+    ) -> List[Tuple[BlockTrace, int]]:
+        """Run a launch's blocks; return its ``(trace, multiplicity)`` pairs.
+
+        A functional launch executes every block.  A sampled one traces the
+        representative blocks and fills in the data with the kernel's
+        vectorised fallback.
+        """
+        engine = self.functional_engine
+        if functional:
+            return [(trace, 1) for trace in engine.execute_all(kernel)]
+        pairs = engine.execute_sampled(kernel)
+        kernel.vectorised_result(
+            {name: self.global_memory.get(name) for name in kernel.array_names()}
+        )
+        return pairs
+
+    def time_launch(
+        self, kernel: KernelProgram, force_functional: Optional[bool] = None
+    ) -> KernelTiming:
+        """The timing :meth:`launch` would give ``kernel``, from block classes.
+
+        Each block class is traced once, under the launch decision
+        :meth:`launch` would make
+        (:meth:`~repro.simulator.functional.FunctionalEngine.execute_classes`);
+        no data is computed and nothing is recorded.  Stream and shard plans
+        time their kernels this way.
+        """
+        pairs = self.functional_engine.execute_classes(
+            kernel, self.launches_functionally(kernel, force_functional)
+        )
+        return self.timing_engine.kernel_timing(kernel.name, pairs)
+
     def launch(self, kernel: KernelProgram, force_functional: Optional[bool] = None) -> LaunchRecord:
         """Launch a kernel and account for its execution time.
 
@@ -163,22 +215,8 @@ class GPUDevice:
         """
         kernel.validate(self.global_memory)
         grid = kernel.grid_size()
-        functional = (
-            force_functional
-            if force_functional is not None
-            else grid <= self.config.functional_block_limit
-        )
-        if functional:
-            traces = self.functional_engine.execute_all(kernel)
-            pairs = [(trace, 1) for trace in traces]
-        else:
-            pairs, needs_fallback = self.functional_engine.execute_sampled(kernel)
-            if needs_fallback:
-                arrays = {
-                    name: self.global_memory.get(name)
-                    for name in kernel.array_names()
-                }
-                kernel.vectorised_result(arrays)
+        functional = self.launches_functionally(kernel, force_functional)
+        pairs = self._execute(kernel, functional)
         timing = self.timing_engine.kernel_timing(kernel.name, pairs)
         record = LaunchRecord(
             kernel_name=kernel.name,

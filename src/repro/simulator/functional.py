@@ -1,12 +1,24 @@
-"""Fully functional block-by-block execution of kernel programs.
+"""Block-by-block execution of kernel programs.
 
-The functional engine executes *every* block of a kernel through a
+The functional engine runs a kernel's blocks through a
 :class:`~repro.simulator.kernel.BlockContext`, so data movement really
-happens and the complete set of block traces is available for timing.  It is
-the reference executor used by the test suite; for paper-scale grids the
-device switches to trace sampling (see
-:class:`repro.simulator.device.GPUDevice`), whose correctness against this
-engine is itself covered by tests.
+happens and each executed block yields its trace.  It offers three ways to
+cover a grid:
+
+* :meth:`FunctionalEngine.execute_all` executes *every* block.  The
+  :class:`~repro.simulator.device.GPUDevice` uses it for functional-size
+  grids, which makes ``observe(n)`` the independent oracle of the faster
+  paths below.
+* :meth:`FunctionalEngine.execute_sampled` traces one representative block
+  per block class (:meth:`KernelProgram.representative_blocks`) and weights
+  it by the class's size.  Paper-scale grids are timed this way.
+* :meth:`FunctionalEngine.execute_classes` also traces each class once, but
+  for a grid that would run functionally it expands each class into one
+  ``(trace, 1)`` pair per block, in block order.  Every per-block float sum
+  then runs in the order ``execute_all`` gives it, so the timing equals a
+  full execution bit for bit whenever each block's trace matches its
+  class representative's (the block-class faithfulness property, tested
+  for every algorithm that sets ``sim_trace_data_dependent = False``).
 """
 
 from __future__ import annotations
@@ -55,13 +67,12 @@ class FunctionalEngine:
 
     def execute_sampled(
         self, kernel: KernelProgram
-    ) -> Tuple[List[Tuple[BlockTrace, int]], bool]:
+    ) -> List[Tuple[BlockTrace, int]]:
         """Trace only the kernel's representative blocks.
 
-        Returns ``(trace, multiplicity)`` pairs covering the grid and a flag
-        saying whether the kernel's vectorised fallback must be applied to
-        obtain functional results (always ``True`` for this method: sampled
-        execution does not perform the work of the untraced blocks).
+        Returns ``(trace, multiplicity)`` pairs covering the grid, one per
+        block class.  The untraced blocks do no work, so a caller that needs
+        the launch's data applies the kernel's vectorised fallback.
         """
         kernel.validate(self.global_memory)
         grid = kernel.grid_size()
@@ -80,4 +91,23 @@ class FunctionalEngine:
                 f"representative blocks of kernel {kernel.name!r} cover "
                 f"{covered} blocks but the grid has {grid}"
             )
-        return pairs, True
+        return pairs
+
+    def execute_classes(
+        self, kernel: KernelProgram, functional: bool
+    ) -> List[Tuple[BlockTrace, int]]:
+        """Trace each block class once, expanded when ``functional``.
+
+        ``functional`` is the launch decision of the device the timing
+        stands in for.  A sampled launch keeps the weighted pairs of
+        :meth:`execute_sampled`; a functional one gets each class's trace
+        once per block, in block order, so sums over the pairs add up in
+        the same order as over :meth:`execute_all`'s traces.
+        """
+        pairs = self.execute_sampled(kernel)
+        if not functional:
+            return pairs
+        return [
+            (trace, 1) for trace, multiplicity in pairs
+            for _ in range(multiplicity)
+        ]

@@ -226,11 +226,16 @@ class KernelProgram(abc.ABC):
         return 0
 
     def representative_blocks(self) -> Sequence[Tuple[int, int]]:
-        """Blocks to trace when the grid is too large for full execution.
+        """One traced block per block class of the grid.
 
         Returns ``(block_index, multiplicity)`` pairs covering the whole
-        grid.  The default assumes a structurally uniform grid and traces the
-        first and last blocks (the last block may be ragged).
+        grid in block order: each pair's class is the next ``multiplicity``
+        blocks, and ``block_index`` is one of them.  Sampled launches weight
+        each class's trace by its multiplicity; the batched probe repeats it
+        once per block.  Either is exact only if every block's trace matches
+        its representative's.  The default assumes a structurally uniform
+        grid: block 0 stands for blocks ``0 .. grid-2`` and the last block,
+        which may be ragged, for itself.
         """
         grid = self.grid_size()
         if grid <= 2:

@@ -14,6 +14,7 @@ Three memory spaces mirror the abstract machine:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,6 +28,14 @@ from repro.simulator.errors import (
 )
 
 
+def _warp_addresses(addresses, space: str) -> list:
+    """A warp access's addresses as Python numbers; rejects negative ones."""
+    values = np.asarray(addresses).ravel().tolist()
+    if values and min(values) < 0:
+        raise InvalidAccessError(f"negative {space} address in warp access")
+    return values
+
+
 def coalesced_transactions(addresses: np.ndarray, words_per_block: int) -> int:
     """Number of global-memory block transactions for a warp's addresses.
 
@@ -36,13 +45,8 @@ def coalesced_transactions(addresses: np.ndarray, words_per_block: int) -> int:
     """
     if words_per_block <= 0:
         raise ValueError("words_per_block must be positive")
-    addrs = np.asarray(addresses)
-    if addrs.size == 0:
-        return 0
-    if np.any(addrs < 0):
-        raise InvalidAccessError("negative global-memory address in warp access")
-    blocks = np.unique(addrs // words_per_block)
-    return int(blocks.size)
+    values = _warp_addresses(addresses, "global-memory")
+    return len({address // words_per_block for address in values})
 
 
 def bank_conflict_degree(addresses: np.ndarray, num_banks: int) -> int:
@@ -54,15 +58,11 @@ def bank_conflict_degree(addresses: np.ndarray, num_banks: int) -> int:
     """
     if num_banks <= 0:
         raise ValueError("num_banks must be positive")
-    addrs = np.asarray(addresses)
-    if addrs.size == 0:
+    values = _warp_addresses(addresses, "shared-memory")
+    banks = [word % num_banks for word in set(values)]
+    if len(set(banks)) == len(banks):  # at most one distinct word per bank
         return 1
-    if np.any(addrs < 0):
-        raise InvalidAccessError("negative shared-memory address in warp access")
-    distinct = np.unique(addrs)
-    banks = distinct % num_banks
-    _, counts = np.unique(banks, return_counts=True)
-    return int(counts.max()) if counts.size else 1
+    return max(Counter(banks).values())
 
 
 class HostMemory:

@@ -98,6 +98,28 @@ class TimingEngine:
     # ------------------------------------------------------------------ #
     # Launch-level timing
     # ------------------------------------------------------------------ #
+    def launch_totals(
+        self,
+        kernel_name: str,
+        traces_with_counts: Sequence[Tuple[BlockTrace, int]],
+    ) -> Tuple[KernelCounters, float, float]:
+        """Counters plus total issue and latency cycles of a launch.
+
+        The totals are multiplicity-weighted sums over the pairs, in pair
+        order.  That order decides the float result, so the batched probe
+        aggregates its launches through this method too.
+        """
+        counters = KernelCounters.from_traces(kernel_name, traces_with_counts)
+        total_issue = sum(
+            self.block_issue_cycles(trace) * count
+            for trace, count in traces_with_counts
+        )
+        total_latency = sum(
+            self.block_latency_cycles(trace) * count
+            for trace, count in traces_with_counts
+        )
+        return counters, total_issue, total_latency
+
     def kernel_timing(
         self,
         kernel_name: str,
@@ -114,20 +136,14 @@ class TimingEngine:
         """
         if not traces_with_counts:
             raise ValueError("kernel_timing requires at least one block trace")
-        counters = KernelCounters.from_traces(kernel_name, traces_with_counts)
+        counters, total_issue, total_latency = self.launch_totals(
+            kernel_name, traces_with_counts
+        )
         num_blocks = counters.num_blocks
         if shared_words_per_block is None:
             shared_words_per_block = counters.max_shared_words_per_block
         plan = self.scheduler.plan(num_blocks, shared_words_per_block)
 
-        total_issue = sum(
-            self.block_issue_cycles(trace) * count
-            for trace, count in traces_with_counts
-        )
-        total_latency = sum(
-            self.block_latency_cycles(trace) * count
-            for trace, count in traces_with_counts
-        )
         mean_issue = total_issue / num_blocks
         mean_latency = total_latency / num_blocks
         mean_words = counters.global_words / num_blocks

@@ -53,17 +53,59 @@ class InstructionRecord:
     label: str = ""
 
 
+_COMPUTE = InstructionKind.COMPUTE
+_GLOBAL_READ = InstructionKind.GLOBAL_READ
+_GLOBAL_WRITE = InstructionKind.GLOBAL_WRITE
+_SHARED_READ = InstructionKind.SHARED_READ
+_SHARED_WRITE = InstructionKind.SHARED_WRITE
+_BARRIER = InstructionKind.BARRIER
+
+
 @dataclass
 class BlockTrace:
-    """Ordered instruction trace and aggregate counters of one block."""
+    """Ordered instruction trace and aggregate counters of one block.
+
+    The aggregates the timing engine reads are running totals, updated by
+    :meth:`append` in record order, so reading one costs the same however
+    long the trace is.  Records passed to the constructor are tallied
+    once, in order; ``records`` must only grow through :meth:`append`.
+    """
 
     block_index: int
     records: List[InstructionRecord] = field(default_factory=list)
     shared_words_used: int = 0
 
+    def __post_init__(self) -> None:
+        self._compute_operations = 0.0
+        self._shared_accesses = 0
+        self._shared_conflict_cycles = 0.0
+        self._global_transactions = 0
+        self._global_words = 0
+        self._barriers = 0
+        self._has_bank_conflicts = False
+        for record in self.records:
+            self._tally(record)
+
     def append(self, record: InstructionRecord) -> None:
-        """Append one instruction record."""
+        """Append one instruction record and update the totals."""
         self.records.append(record)
+        self._tally(record)
+
+    def _tally(self, record: InstructionRecord) -> None:
+        # Identity tests: hashing an enum member runs Python code.
+        kind = record.kind
+        if kind is _COMPUTE:
+            self._compute_operations += record.operations
+        elif kind is _SHARED_READ or kind is _SHARED_WRITE:
+            self._shared_accesses += 1
+            self._shared_conflict_cycles += record.conflict_degree
+            if record.conflict_degree > 1:
+                self._has_bank_conflicts = True
+        elif kind is _GLOBAL_READ or kind is _GLOBAL_WRITE:
+            self._global_transactions += record.transactions
+            self._global_words += record.words
+        elif kind is _BARRIER:
+            self._barriers += 1
 
     # ------------------------------------------------------------------ #
     # Aggregates consumed by the timing engine
@@ -71,50 +113,37 @@ class BlockTrace:
     @property
     def compute_operations(self) -> float:
         """Warp-instructions of arithmetic/control work."""
-        return sum(r.operations for r in self.records
-                   if r.kind is InstructionKind.COMPUTE)
+        return self._compute_operations
 
     @property
     def shared_accesses(self) -> int:
         """Number of shared-memory access instructions."""
-        return sum(1 for r in self.records
-                   if r.kind in (InstructionKind.SHARED_READ,
-                                 InstructionKind.SHARED_WRITE))
+        return self._shared_accesses
 
     @property
     def shared_conflict_cycles_factor(self) -> float:
         """Sum of conflict degrees over shared accesses (1 each if conflict free)."""
-        return float(sum(r.conflict_degree for r in self.records
-                         if r.kind in (InstructionKind.SHARED_READ,
-                                       InstructionKind.SHARED_WRITE)))
+        return self._shared_conflict_cycles
 
     @property
     def global_transactions(self) -> int:
         """Global-memory block transactions issued by the block."""
-        return sum(r.transactions for r in self.records
-                   if r.kind in (InstructionKind.GLOBAL_READ,
-                                 InstructionKind.GLOBAL_WRITE))
+        return self._global_transactions
 
     @property
     def global_words(self) -> int:
         """Words moved to/from global memory by the block."""
-        return sum(r.words for r in self.records
-                   if r.kind in (InstructionKind.GLOBAL_READ,
-                                 InstructionKind.GLOBAL_WRITE))
+        return self._global_words
 
     @property
     def barriers(self) -> int:
         """Number of block-wide barriers executed."""
-        return sum(1 for r in self.records if r.kind is InstructionKind.BARRIER)
+        return self._barriers
 
     @property
     def has_bank_conflicts(self) -> bool:
         """Whether any shared access serialised over banks."""
-        return any(
-            r.conflict_degree > 1
-            for r in self.records
-            if r.kind in (InstructionKind.SHARED_READ, InstructionKind.SHARED_WRITE)
-        )
+        return self._has_bank_conflicts
 
     def counters(self) -> Dict[str, float]:
         """Aggregate counters as a plain dictionary."""

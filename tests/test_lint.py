@@ -332,6 +332,14 @@ SIM_PARITY_TEST = src(
     """
 )
 
+SIM_FAITHFULNESS_TEST = src(
+    """
+    @given(data=st.data())
+    def test_every_block_is_faithful_to_its_class(data):
+        assert unfaithful_blocks(run("vector_addition", data)) == []
+    """
+)
+
 
 class TestSimBatchParityCoverage:
     def test_fires_for_uncovered_entry_point_and_opt_out(self):
@@ -354,7 +362,46 @@ class TestSimBatchParityCoverage:
                 "pkg/simulator/batch.py": SIM_BATCH_MODULE,
                 "pkg/algorithms/vector_addition.py": SIM_OPT_OUT_ALGORITHM,
             },
+            tests={
+                "tests/test_sim_batch.py": SIM_PARITY_TEST,
+                "tests/test_block_classes.py": SIM_FAITHFULNESS_TEST,
+            },
+        )
+        assert found == []
+
+    def test_opt_out_without_faithfulness_property_fires(self):
+        found = findings_for(
+            "SIM001",
+            {"pkg/algorithms/vector_addition.py": SIM_OPT_OUT_ALGORITHM},
             tests={"tests/test_sim_batch.py": SIM_PARITY_TEST},
+        )
+        assert len(found) == 1
+        assert "'vector_addition'" in found[0].message
+        assert "faithfulness property" in found[0].message
+        assert "scalar-parity" not in found[0].message
+
+    def test_faithfulness_needs_a_property_test(self):
+        example_only = SIM_FAITHFULNESS_TEST.replace(
+            "@given(data=st.data())\n", ""
+        )
+        found = findings_for(
+            "SIM001",
+            {"pkg/algorithms/vector_addition.py": SIM_OPT_OUT_ALGORITHM},
+            tests={
+                "tests/test_sim_batch.py": SIM_PARITY_TEST,
+                "tests/test_block_classes.py": example_only,
+            },
+        )
+        assert len(found) == 1
+
+    def test_opt_out_with_parity_and_faithfulness_is_clean(self):
+        found = findings_for(
+            "SIM001",
+            {"pkg/algorithms/vector_addition.py": SIM_OPT_OUT_ALGORITHM},
+            tests={
+                "tests/test_sim_batch.py": SIM_PARITY_TEST,
+                "tests/test_block_classes.py": SIM_FAITHFULNESS_TEST,
+            },
         )
         assert found == []
 

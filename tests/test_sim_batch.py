@@ -174,19 +174,50 @@ class TestDegenerateScheduleOracle:
     equality here checks each schedule against a separate implementation
     rather than against its own replay.  1,000 elements take the
     functional (every block executed) launch path; 200,000 the sampled one.
+    The plans time each kernel under the launch decision ``run`` makes, so
+    this holds on every device preset, including those whose per-block
+    cycle counts are not integers.
     """
+
+    @staticmethod
+    def _assert_degenerate(algorithm, n, config=None):
+        total = algorithm.observe(n, config=config).total_time_s
+        assert algorithm.observe_streamed(
+            n, config=config, chunks=1
+        ).makespan_s == total
+        assert algorithm.observe_sharded(
+            n, config=config, devices=1
+        ).makespan_s == total
+        assert algorithm.observe_streamed_sweep(
+            [n], config=config, chunks=1
+        ).makespans_s == [total]
+        assert algorithm.observe_sharded_sweep(
+            [n], config=config, devices=1
+        ).makespans_s == [total]
 
     @pytest.mark.parametrize("n", [1_000, 200_000])
     @pytest.mark.parametrize("name", ["vector_addition", "reduction"])
     def test_single_chunk_and_device_equal_observe_bit_for_bit(self, name, n):
-        algorithm = create(name)
-        total = algorithm.observe(n).total_time_s
-        assert algorithm.observe_streamed(n, chunks=1).makespan_s == total
-        assert algorithm.observe_sharded(n, devices=1).makespan_s == total
-        assert algorithm.observe_streamed_sweep([n], chunks=1).makespans_s \
-            == [total]
-        assert algorithm.observe_sharded_sweep([n], devices=1).makespans_s \
-            == [total]
+        self._assert_degenerate(create(name), n)
+
+    @pytest.mark.parametrize("preset, n", [
+        ("gtx980", 1_000),
+        ("gtx980", 200_000),
+        ("tesla_k40", 1_000),
+        # A tesla_k40 block's exposed latency is 5/6 * 500 cycles, so
+        # summing it block by block and weighting it by the block count
+        # differ in the last bit at these functional sizes.
+        ("tesla_k40", 33_725),
+        ("tesla_k40", 131_071),
+        ("tesla_k40", 200_000),
+        ("tiny_test_device", 1),
+        ("tiny_test_device", 1_000),
+    ])
+    @pytest.mark.parametrize("name", ["vector_addition", "reduction"])
+    def test_every_preset_equals_observe_bit_for_bit(self, name, preset, n):
+        self._assert_degenerate(
+            create(name), n, getattr(DeviceConfig, preset)()
+        )
 
 
 class TestProbeDevice:

@@ -128,7 +128,7 @@ class TestStreamTimeline:
         tiny_device.allocate("b", 64)
         tiny_device.allocate("c", 64)
         kernel = VectorAdditionKernel(64, tiny_device.config.warp_width)
-        pairs, _ = tiny_device.functional_engine.execute_sampled(kernel)
+        pairs = tiny_device.functional_engine.execute_sampled(kernel)
         timing = tiny_device.timing_engine.kernel_timing(kernel.name, pairs)
 
         timeline = StreamTimeline()
