@@ -1,6 +1,6 @@
 """Registry of the implemented GPU algorithms.
 
-The experiment harness, the examples and the benchmarks look algorithms up
+The experiment harness, the examples and perfbench look algorithms up
 by name; the registry keeps that mapping in one place and distinguishes the
 *paper* algorithms (the three problems of Section IV) from the *extension*
 algorithms added to exercise the model further.

@@ -209,7 +209,7 @@ def backend_supports_batch(backend: CostModel) -> bool:
 # --------------------------------------------------------------------- #
 _REGISTRY: Dict[str, CostModel] = {}
 #: Serialises registry mutation: serving-layer worker threads resolve
-#: backends while benchmark harnesses register/unregister sweep variants,
+#: backends while callers register/unregister sweep variants,
 #: and a torn check-then-set would corrupt the shared table.
 _REGISTRY_LOCK = threading.Lock()
 

@@ -153,7 +153,7 @@ def render_feature_table(include_counts: bool = False) -> str:
 
     With ``include_counts=True`` a final row totals the supported features
     per model, which makes the "ATGPU is the most comprehensive" claim
-    immediately visible in benchmark output.
+    immediately visible in the rendered table.
     """
     check, blank = "x", "-"
     header = ["Item"] + list(MODEL_COLUMNS)

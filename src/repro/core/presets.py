@@ -26,8 +26,9 @@ presets therefore use the *bandwidth-amortised* cost of serving one
 ``b``-word block from device memory (``b·word_bytes / memory_bandwidth``
 expressed in core cycles, ≈5 cycles for the GTX 650), which reproduces the
 paper's predicted-cost behaviour.  ``repro.core.calibration`` can re-fit
-``λ`` (and the other parameters) from observed timings, and the occupancy
-ablation benchmark explores raw-latency values.
+``λ`` (and the other parameters) from observed timings, and
+``tests/test_cost.py``'s preset ablations check that a raw 800-cycle
+latency hides the transfer terms.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from repro.utils.validation import ensure_non_negative, ensure_non_negative_int
 #: Shard planners a :class:`TopologyCostModel` may use: ``"load-aware"``
 #: sizes shards by per-device throughput (:func:`plan_shards`);
 #: ``"even"`` keeps the near-even split regardless of throughput (the
-#: baseline the benchmarks compare against).
+#: baseline the load-aware planner is compared against).
 PLANNERS: Tuple[str, ...] = ("load-aware", "even")
 
 

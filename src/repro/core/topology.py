@@ -567,7 +567,7 @@ def straggler_finish(
 ) -> float:
     """The straggler's finish time ``max sᵢ/wᵢ`` of a given split.
 
-    The objective :func:`plan_shards` minimises; exposed so benchmarks
+    The objective :func:`plan_shards` minimises; exposed so callers
     and tests can compare load-aware splits against even baselines.
     """
     if len(shards) != len(weights):

@@ -2,9 +2,9 @@
 
 Each ``figure*`` function returns one or more :class:`FigureSeries` objects:
 a named set of curves over the sweep's input sizes, which is exactly the
-data plotted in the corresponding subfigure of the paper.  The benchmark
-harness prints these series; plotting them (with any tool) reproduces the
-figures.
+data plotted in the corresponding subfigure of the paper.
+``examples/paper_evaluation.py`` prints these series; plotting them (with
+any tool) reproduces the figures.
 
 ===========  ==========================================================
 Figure 3     vector addition: (a) predicted ATGPU/SWGPU cost,

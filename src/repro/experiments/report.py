@@ -1,4 +1,8 @@
-"""Text rendering of experiment results (what the benchmark harness prints)."""
+"""Text rendering of experiment results.
+
+``examples/paper_evaluation.py`` prints its figures and tables through
+these functions.
+"""
 
 from __future__ import annotations
 

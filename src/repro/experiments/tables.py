@@ -5,8 +5,8 @@
   the average share of time spent on data transfer per algorithm, the mean
   absolute gap between the predicted and observed transfer proportions, and
   the share of the actual running time captured by the kernel-only (SWGPU)
-  view.  The paper's reported values are attached so that benchmark output
-  shows paper-vs-measured side by side.
+  view.  The paper's reported values are attached so that rendered output
+  (``examples/paper_evaluation.py``) shows paper-vs-measured side by side.
 """
 
 from __future__ import annotations

@@ -320,6 +320,38 @@ class LockDisciplineRule(Rule):
 _PARITY_EVIDENCE = re.compile(r"parity|bitwise|bit.for.bit", re.IGNORECASE)
 
 
+def _imports_linter(tree: ast.Module) -> bool:
+    """Whether a module imports ``repro.lint`` at top level."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(m == "repro.lint" or m.startswith("repro.lint.") for m in modules):
+            return True
+    return False
+
+
+def _evidence_files(test_files: Sequence[SourceFile]) -> List[SourceFile]:
+    """The test modules whose text can count as coverage evidence.
+
+    The linter's own tests quote package names beside parity words in
+    their fixtures and expected messages.  That text is input to the
+    linter, not a test of the package, so those modules never count.
+    """
+    return [test for test in test_files if not _imports_linter(test.tree)]
+
+
+def _has_parity_test(needle: str, evidence: Sequence[SourceFile]) -> bool:
+    """Whether an evidence module names ``needle`` with parity vocabulary."""
+    return any(
+        needle in test.source and _PARITY_EVIDENCE.search(test.source)
+        for test in evidence
+    )
+
+
 def _module_str_constants(tree: ast.Module) -> Dict[str, str]:
     """Module-level ``NAME = "literal"`` assignments (incl. annotated)."""
     out: Dict[str, str] = {}
@@ -404,10 +436,13 @@ class BatchParityCoverageRule(Rule):
             # No registry in the linted tree (fixture runs) or no test
             # tree to cross-reference: nothing checkable.
             return
+        evidence = _evidence_files(ctx.test_files)
         for source in registries:
             consts = _module_str_constants(source.tree)
             for family, node in self._families(source.tree, consts):
-                if not self._has_parity_test(family, ctx.test_files):
+                if family == "<unresolved>" or not _has_parity_test(
+                    family, evidence
+                ):
                     yield self.finding(
                         source, node.lineno,
                         f"backend family {family!r} registers a vectorized "
@@ -482,17 +517,6 @@ class BatchParityCoverageRule(Rule):
                         out.extend(_name_candidates(node.value, consts))
         return out
 
-    @staticmethod
-    def _has_parity_test(
-        family: str, test_files: Sequence[SourceFile]
-    ) -> bool:
-        if family == "<unresolved>":
-            return False
-        for test in test_files:
-            if family in test.source and _PARITY_EVIDENCE.search(test.source):
-                return True
-        return False
-
 
 # --------------------------------------------------------------------- #
 # SIM001 — batched-simulator parity coverage
@@ -547,21 +571,22 @@ class SimBatchParityCoverageRule(Rule):
         if not ctx.test_files:
             # No test tree to cross-reference (fixture runs).
             return
+        evidence = _evidence_files(ctx.test_files)
         for source in ctx.files:
             if source.path.endswith(self.batch_suffix):
-                yield from self._check_entry_points(source, ctx)
+                yield from self._check_entry_points(source, evidence)
             if f"/{self.algorithms_part}/" in source.path.replace("\\", "/"):
-                yield from self._check_opt_outs(source, ctx)
+                yield from self._check_opt_outs(source, evidence)
 
     def _check_entry_points(
-        self, source: SourceFile, ctx: PackageContext
+        self, source: SourceFile, evidence: Sequence[SourceFile]
     ) -> Iterator[Finding]:
         for node in source.tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not node.name.startswith("simulate_"):
                 continue
-            if not self._has_parity_test(node.name, ctx.test_files):
+            if not _has_parity_test(node.name, evidence):
                 yield self.finding(
                     source, node.lineno,
                     f"batched simulator entry point {node.name!r} has no "
@@ -572,7 +597,7 @@ class SimBatchParityCoverageRule(Rule):
                 )
 
     def _check_opt_outs(
-        self, source: SourceFile, ctx: PackageContext
+        self, source: SourceFile, evidence: Sequence[SourceFile]
     ) -> Iterator[Finding]:
         for cls in ast.walk(source.tree):
             if not isinstance(cls, ast.ClassDef):
@@ -582,14 +607,12 @@ class SimBatchParityCoverageRule(Rule):
                 continue
             algorithm = self._algorithm_name(cls)
             missing = []
-            if not self._has_parity_test(algorithm, ctx.test_files):
+            if not _has_parity_test(algorithm, evidence):
                 missing.append(
                     "a scalar-parity assertion (proving the traces ignore "
                     "input values)"
                 )
-            if not self._has_faithfulness_property(
-                algorithm, ctx.test_files
-            ):
+            if not self._has_faithfulness_property(algorithm, evidence):
                 missing.append(
                     "a block-class faithfulness property (a hypothesis "
                     "test mentioning 'faithful', proving every block's "
@@ -644,23 +667,14 @@ class SimBatchParityCoverageRule(Rule):
         return cls.name
 
     @staticmethod
-    def _has_parity_test(
-        needle: str, test_files: Sequence[SourceFile]
-    ) -> bool:
-        for test in test_files:
-            if needle in test.source and _PARITY_EVIDENCE.search(test.source):
-                return True
-        return False
-
-    @staticmethod
     def _has_faithfulness_property(
-        algorithm: str, test_files: Sequence[SourceFile]
+        algorithm: str, evidence: Sequence[SourceFile]
     ) -> bool:
         return any(
             algorithm in test.source
             and _FAITHFULNESS_EVIDENCE.search(test.source)
             and _defines_property_test(test.tree)
-            for test in test_files
+            for test in evidence
         )
 
 

@@ -63,8 +63,8 @@ class PredictionServer:
         :class:`~repro.serving.errors.ServerOverloadedError`.
 
     Requests may be submitted before :meth:`start` — they queue up and the
-    first worker dispatch coalesces everything pending, which the tests and
-    benchmarks use to make coalescing deterministic.  The usual lifecycle is
+    first worker dispatch coalesces everything pending, which the tests
+    use to make coalescing deterministic.  The usual lifecycle is
     the context manager::
 
         with PredictionServer(policy="fifo") as server:

@@ -98,31 +98,38 @@ class BlockContext:
     # ------------------------------------------------------------------ #
     # Global memory (the ``⇐`` operator)
     # ------------------------------------------------------------------ #
-    def global_read(self, name: str, indices: np.ndarray) -> np.ndarray:
-        """Warp-wide read of ``name[indices]`` from global memory."""
+    def _global_access(
+        self, kind: InstructionKind, name: str, indices: np.ndarray
+    ) -> Tuple[DeviceArray, np.ndarray]:
+        """Bounds-check and trace one warp access to ``name[indices]``.
+
+        The absolute addresses are computed once: they raise
+        :class:`~repro.simulator.errors.InvalidAccessError` on a negative or
+        out-of-range index before any data moves, and they give the
+        access's coalesced transaction count.
+        """
         array = self.array(name)
         idx = np.asarray(indices, dtype=np.int64)
-        transactions = self._global_memory.transactions_for(array, idx)
+        addresses = array.global_addresses(idx)
         self.trace.append(InstructionRecord(
-            kind=InstructionKind.GLOBAL_READ,
-            transactions=transactions,
+            kind=kind,
+            transactions=coalesced_transactions(
+                addresses, self._global_memory.words_per_block
+            ),
             words=int(idx.size),
             label=name,
         ))
-        return array.read(idx)
+        return array, idx
+
+    def global_read(self, name: str, indices: np.ndarray) -> np.ndarray:
+        """Warp-wide read of ``name[indices]`` from global memory."""
+        array, idx = self._global_access(InstructionKind.GLOBAL_READ, name, indices)
+        return array.data[idx]
 
     def global_write(self, name: str, indices: np.ndarray, values: np.ndarray) -> None:
         """Warp-wide write of ``values`` to ``name[indices]`` in global memory."""
-        array = self.array(name)
-        idx = np.asarray(indices, dtype=np.int64)
-        transactions = self._global_memory.transactions_for(array, idx)
-        self.trace.append(InstructionRecord(
-            kind=InstructionKind.GLOBAL_WRITE,
-            transactions=transactions,
-            words=int(idx.size),
-            label=name,
-        ))
-        array.write(idx, values)
+        array, idx = self._global_access(InstructionKind.GLOBAL_WRITE, name, indices)
+        array.data[idx] = values
 
     # ------------------------------------------------------------------ #
     # Shared memory (the ``←`` operator)

@@ -4,9 +4,9 @@ Three memory spaces mirror the abstract machine:
 
 * :class:`HostMemory` -- named NumPy buffers living on the host.
 * :class:`GlobalMemory` -- the device's off-chip memory, bounded by ``G``
-  words and divided into blocks of ``b`` words; provides coalescing
-  analysis (the number of block transactions needed to satisfy a warp's set
-  of addresses).
+  words and divided into blocks of ``b`` words;
+  :func:`coalesced_transactions` is its coalescing analysis (the number of
+  block transactions needed to satisfy a warp's set of addresses).
 * :class:`SharedMemory` -- per-MP on-chip memory of ``M`` words split into
   ``b`` banks; provides bank-conflict analysis (the serialisation degree of
   a warp access).
@@ -119,18 +119,6 @@ class DeviceArray:
             )
         return self.offset + idx
 
-    def read(self, indices: np.ndarray) -> np.ndarray:
-        """Gather elements at ``indices``."""
-        idx = np.asarray(indices, dtype=np.int64)
-        self.global_addresses(idx)  # bounds check
-        return self.data[idx]
-
-    def write(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Scatter ``values`` to ``indices``."""
-        idx = np.asarray(indices, dtype=np.int64)
-        self.global_addresses(idx)  # bounds check
-        self.data[idx] = values
-
     def to_host(self) -> np.ndarray:
         """Copy of the whole array contents."""
         return self.data.copy()
@@ -230,14 +218,6 @@ class GlobalMemory:
     def names(self) -> Tuple[str, ...]:
         """Names of live allocations."""
         return tuple(self._arrays)
-
-    # ------------------------------------------------------------------ #
-    # Access analysis
-    # ------------------------------------------------------------------ #
-    def transactions_for(self, array: DeviceArray, indices: np.ndarray) -> int:
-        """Block transactions needed for a warp access to ``array[indices]``."""
-        addresses = array.global_addresses(np.asarray(indices, dtype=np.int64))
-        return coalesced_transactions(addresses, self.words_per_block)
 
 
 class SharedMemory:

@@ -2,8 +2,8 @@
 
 Each figure of Section IV is generated over a specific sweep of input sizes;
 this module records those sweeps in one place (and provides scaled-down
-variants used by the test suite and quick benchmark runs, which keep the
-same spacing structure but at sizes that execute quickly in pure Python).
+variants used by the test suite and quick runs, which keep the same
+spacing structure but at sizes that execute quickly in pure Python).
 """
 
 from __future__ import annotations
@@ -94,12 +94,12 @@ def dense_sweep(
     hi: int = 10_000_000,
     name: str = "",
 ) -> Sweep:
-    """An evenly spaced ``points``-size sweep for throughput benchmarks.
+    """An evenly spaced ``points``-size sweep for throughput workloads.
 
     The paper's figures use ~10 sizes; serving sweeps at traffic scale means
-    evaluating hundreds of points per request, which is what the vectorized
-    batch engine is benchmarked on (``benchmarks/bench_sweep.py``).  Sizes
-    are strictly increasing, so ``points`` must fit in ``[lo, hi]``.
+    evaluating hundreds of points per request.  perfbench's explore and
+    serve workloads draw their sizes from this grid.  Sizes are strictly
+    increasing, so ``points`` must fit in ``[lo, hi]``.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points!r}")
@@ -118,7 +118,7 @@ def dense_sweep(
         name=name or f"dense_{points}",
         sizes=sizes,
         description=f"{points} evenly spaced sizes in [{lo}, {hi}] "
-                    "for batch-throughput benchmarks",
+                    "for batch-throughput workloads",
     )
 
 

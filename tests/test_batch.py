@@ -9,11 +9,15 @@ randomized synthetic sweeps, and the degeneracy cases (``chunks=1``,
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.algorithms import MatrixMultiplication, Reduction, VectorAddition
+from repro.algorithms.registry import all_algorithm_names, create
 from repro.core.backends import (
+    FunctionBackend,
     backend_supports_batch,
     get_backend,
     make_async_backend,
@@ -40,11 +44,29 @@ from repro.core.prediction import predict_sweep, predict_sweep_batch
 from repro.core.presets import GTX_650, GTX_980
 from repro.core.sharding import topology_cost_batch, topology_gpu_cost
 from repro.core.topology import DeviceSpec, LinkSpec, Topology
+from repro.workloads.sweeps import (
+    SHARD_COUNT_SWEEP,
+    STREAM_CHUNK_SWEEP,
+    dense_sweep,
+    sweep_for,
+)
 
 ALGORITHMS = [VectorAddition, Reduction, MatrixMultiplication]
 FAMILY_BACKENDS = (
     "atgpu", "swgpu", "perfect", "agpu", "atgpu-async", "atgpu-multi",
 )
+
+#: One async backend per STREAM_CHUNK_SWEEP chunk count and one sharded
+#: backend per SHARD_COUNT_SWEEP device count.  Two of them are the
+#: built-in atgpu-async and atgpu-multi, so with FAMILY_BACKENDS they name
+#: 13 distinct backends.
+SWEEP_VARIANTS = (
+    [make_async_backend(int(chunks)) for chunks in STREAM_CHUNK_SWEEP.sizes]
+    + [make_sharded_backend(int(devices)) for devices in SHARD_COUNT_SWEEP.sizes]
+)
+
+#: The dense 256-point vector-addition sweep.
+DENSE_SIZES = dense_sweep(256).sizes
 
 #: Small per-algorithm sweeps that still exercise multi-round metrics.
 SWEEP_SIZES = {
@@ -73,6 +95,29 @@ def analysed(algo, sizes, preset=GTX_650, backends=None) -> dict:
         [r.predicted_transfer_proportion for r in reports]
     )
     return out
+
+
+@contextlib.contextmanager
+def registered(backends):
+    """Register those of ``backends`` not yet registered.
+
+    Yields FAMILY_BACKENDS followed by the backends' names, without
+    repeats.  Variants may already be registered (by another test in the
+    same run), so only the names this call adds are removed on the way out.
+    """
+    names, added = [], []
+    for backend in backends:
+        try:
+            get_backend(backend.name)
+        except KeyError:
+            register_backend(backend)
+            added.append(backend.name)
+        names.append(backend.name)
+    try:
+        yield tuple(dict.fromkeys((*FAMILY_BACKENDS, *names)))
+    finally:
+        for name in added:
+            unregister_backend(name)
 
 
 def random_metrics(rng: np.random.Generator, machine, rounds: int
@@ -181,15 +226,17 @@ class TestBackendParity:
         assert np.array_equal(scalar["kernel"], batch.kernel_costs)
 
     def test_section_iv_sweeps_identical_with_rtol_zero(self):
-        """The acceptance criterion: paper sweeps, every default backend."""
+        """The acceptance criterion: paper sweeps, every backend family."""
         for algorithm_cls in ALGORITHMS:
             algo = algorithm_cls()
-            sizes = algo.default_sizes()
-            scalar = analysed(algo, sizes)
-            batch = algo.predict_sweep(sizes)
-            for name in ("atgpu", "swgpu", "perfect"):
+            sizes = sweep_for(algo.name).sizes
+            scalar = analysed(algo, sizes, backends=FAMILY_BACKENDS)
+            batch = algo.predict_sweep(sizes, backends=FAMILY_BACKENDS)
+            for name in FAMILY_BACKENDS:
                 assert np.allclose(scalar[name],
                                    batch.series_for(name), rtol=0, atol=0)
+            assert np.array_equal(scalar["proportion"],
+                                  batch.predicted_transfer_proportions)
 
     def test_randomized_metrics_parity(self, machine, parameters, occupancy):
         rng = np.random.default_rng(7)
@@ -393,34 +440,68 @@ class TestEvaluateBackendsBatch:
         with pytest.raises(ValueError, match="no batch evaluation"):
             plain.batch_cost(batch, machine, parameters, occupancy)
 
-    def test_async_and_shard_variants_parity(self):
-        """The STREAM_CHUNK_SWEEP / SHARD_COUNT_SWEEP backend variants.
-
-        Variants may already be registered (e.g. by the benchmark harness in
-        the same pytest run), so only names this test adds are removed.
-        """
-        variants = [make_async_backend(chunks) for chunks in (1, 4, 16)]
-        variants += [make_sharded_backend(devices, contention=0.5)
-                     for devices in (4, 8)]
-        names, added = [], []
-        for backend in variants:
-            try:
-                get_backend(backend.name)
-            except KeyError:
-                register_backend(backend)
-                added.append(backend.name)
-            names.append(backend.name)
-        try:
-            algo = Reduction()
-            sizes = SWEEP_SIZES["reduction"]
+    @pytest.mark.parametrize("algorithm_cls, sizes, variants", [
+        (
+            Reduction, SWEEP_SIZES["reduction"],
+            [make_async_backend(chunks) for chunks in (1, 4, 16)]
+            + [make_sharded_backend(devices, contention=0.5)
+               for devices in (4, 8)],
+        ),
+        (Reduction, sweep_for("reduction").sizes, SWEEP_VARIANTS),
+        (VectorAddition, sweep_for("vector_addition").sizes, SWEEP_VARIANTS),
+        (VectorAddition, DENSE_SIZES, SWEEP_VARIANTS),
+    ], ids=[
+        "reduction", "section4-reduction", "section4-vector_addition",
+        "dense256-vector_addition",
+    ])
+    def test_async_and_shard_variants_parity(self, algorithm_cls, sizes,
+                                             variants):
+        """Every family plus the chunk- and device-count variants."""
+        algo = algorithm_cls()
+        with registered(variants) as names:
             scalar = analysed(algo, sizes, backends=names)
             batch = algo.predict_sweep(sizes, backends=names)
-            for name in names:
-                assert np.array_equal(scalar[name],
-                                      batch.series_for(name)), name
-        finally:
-            for name in added:
-                unregister_backend(name)
+        for name in names:
+            assert np.array_equal(scalar[name], batch.series_for(name)), name
+        assert np.array_equal(scalar["proportion"],
+                              batch.predicted_transfer_proportions)
+
+
+class TestSweepWorkCounts:
+    """``predict_sweep`` does no per-size scalar work on built-in paths.
+
+    The array-native metrics factories and the batch evaluators exist to
+    skip one ``metrics(n)`` call and one scalar backend ``cost`` call per
+    size.  Both counts must be exactly zero: a timing floor misses a
+    fallback that costs a few times the fast path.
+    """
+
+    @pytest.mark.parametrize("name", all_algorithm_names())
+    def test_predict_sweep_makes_no_scalar_calls(self, name, monkeypatch):
+        algo = create(name)
+        calls = {"metrics": 0, "cost": 0}
+
+        def counted(kind, method):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            type(algo), "metrics", counted("metrics", type(algo).metrics)
+        )
+        monkeypatch.setattr(
+            FunctionBackend, "cost", counted("cost", FunctionBackend.cost)
+        )
+        if name == "vector_addition":
+            with registered(SWEEP_VARIANTS) as names:
+                assert len(names) == 13
+                prediction = algo.predict_sweep(DENSE_SIZES, backends=names)
+        else:
+            names = FAMILY_BACKENDS
+            prediction = algo.predict_sweep(backends=names)
+        assert set(names) <= set(prediction.backend_names())
+        assert calls == {"metrics": 0, "cost": 0}
 
 
 class TestSweepPredictionSeriesFields:

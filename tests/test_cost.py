@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.algorithms import MatrixMultiplication, VectorAddition
+from repro.core.analysis import analyse_metrics
 from repro.core.comparison import (
     AGPUAnalysis,
     FEATURE_ROWS,
@@ -27,6 +30,7 @@ from repro.core.occupancy import (
     wave_count,
     wave_count_grid,
 )
+from repro.core.presets import GTX_1080, GTX_650, GTX_980, TESLA_K40
 from repro.core.transfer import (
     BoyerTransferModel,
     TransferDirection,
@@ -339,3 +343,52 @@ class TestSWGPUAndAGPU:
         for row in FEATURE_ROWS:
             assert row in text
         assert "Supported features" in text
+
+
+class TestPresetAblations:
+    """How the preset choices shape the paper's predictions.
+
+    Expression 2 against Expression 1 as the physical MP count ``k'`` and
+    the block limit ``H`` vary; λ as a raw global-memory latency against
+    the bandwidth-amortised cost the presets use (see
+    ``repro.core.presets``); and the transfer share on every GPU preset.
+    """
+
+    N = 10_000_000
+
+    def _report(self, occupancy=GTX_650.occupancy, parameters=GTX_650.parameters):
+        algorithm = VectorAddition()
+        return analyse_metrics(
+            algorithm.metrics(self.N, GTX_650.machine), GTX_650.machine,
+            parameters, occupancy, algorithm=algorithm.name, input_size=self.N,
+        )
+
+    def test_gpu_cost_never_below_perfect_and_falls_with_mps(self):
+        costs = {}
+        for physical_mps in (1, 2, 4, 8, 16):
+            for block_limit in (1, 4, 16):
+                report = self._report(OccupancyModel(
+                    physical_mps=physical_mps, hardware_block_limit=block_limit,
+                ))
+                assert report.gpu_cost >= report.perfect_cost * (1 - 1e-12)
+                costs[physical_mps, block_limit] = report.gpu_cost
+        assert costs[16, 16] <= costs[1, 16]
+
+    def test_raw_latency_lambda_hides_the_transfer(self):
+        amortised = self._report().predicted_transfer_proportion
+        raw = self._report(
+            parameters=replace(GTX_650.parameters, lam=800.0)
+        ).predicted_transfer_proportion
+        assert amortised > 0.7  # transfer dominates, as the paper plots
+        assert raw < 0.1  # a 800-cycle λ makes the transfer invisible
+
+    def test_transfer_share_ordering_holds_on_every_preset(self):
+        vecadd_costs = {}
+        for preset in (GTX_650, GTX_980, TESLA_K40, GTX_1080):
+            vecadd = VectorAddition().analyse(self.N, preset)
+            matmul = MatrixMultiplication().analyse(1024, preset)
+            assert (vecadd.predicted_transfer_proportion
+                    > matmul.predicted_transfer_proportion)
+            vecadd_costs[preset.name] = vecadd.gpu_cost
+        # The paper's GTX 650 (2 SMs, slow link) is the slowest preset.
+        assert max(vecadd_costs, key=vecadd_costs.get) == GTX_650.name

@@ -441,6 +441,36 @@ class TestSimBatchParityCoverage:
         assert found == []
 
 
+class TestLinterTestsAreNotEvidence:
+    """PAR001 and SIM001 ignore test modules that import the linter."""
+
+    def test_module_importing_the_linter_does_not_count(self):
+        linter_test = "from repro.lint import lint_sources\n" + SIM_PARITY_TEST
+        found = findings_for(
+            "SIM001",
+            {"pkg/simulator/batch.py": SIM_BATCH_MODULE},
+            tests={"tests/test_lint.py": linter_test},
+        )
+        assert len(found) == 1
+        assert "'simulate_sweep'" in found[0].message
+
+    def test_this_module_alone_covers_nothing(self):
+        # The fixtures above put vector_addition, simulate_sweep and the
+        # atgpu family beside parity words.  With this module as the only
+        # test tree, all three must still be reported.
+        report = lint_paths(
+            [PACKAGE_ROOT], tests_root=Path(__file__),
+            rules=default_rules(only=["SIM001", "PAR001"]),
+        )
+        messages = [f.message for f in report.active]
+        assert any("entry point 'simulate_sweep'" in m for m in messages)
+        assert any("family 'atgpu' " in m for m in messages)
+        assert any(
+            "algorithm 'vector_addition'" in m and "scalar-parity" in m
+            for m in messages
+        )
+
+
 # --------------------------------------------------------------------- #
 # FRZ001 — frozen-type mutation
 # --------------------------------------------------------------------- #

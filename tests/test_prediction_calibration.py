@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms import VectorAddition
 from repro.core.calibration import (
     _active_set_nnls,
     _r_squared,
@@ -24,6 +25,9 @@ from repro.core.prediction import (
     predict_sweep,
 )
 from repro.core.presets import GTX_650, get_preset, preset_names
+from repro.core.transfer import TransferDirection
+from repro.simulator import DeviceConfig, TransferEngine
+from repro.workloads import transfer_size_sweep
 
 
 def linear_metrics_factory(machine: ATGPUMachine):
@@ -131,6 +135,18 @@ class TestCalibration:
         assert result.beta == pytest.approx(beta, rel=1e-3)
         assert result.r_squared == pytest.approx(1.0, abs=1e-6)
 
+    def test_transfer_calibration_recovers_the_simulated_link(self):
+        engine = TransferEngine(DeviceConfig.gtx650())
+        words = transfer_size_sweep(1 << 12, 1 << 24, points=10)
+        times = [
+            engine.duration(int(n), TransferDirection.HOST_TO_DEVICE)
+            for n in words
+        ]
+        result = calibrate_transfer_model(words, np.ones_like(words), times)
+        _, beta = engine.implied_boyer_parameters()
+        assert result.r_squared > 0.999
+        assert abs(result.beta - beta) / beta < 0.05
+
     def test_transfer_calibration_rejects_short_input(self):
         with pytest.raises(ValueError):
             calibrate_transfer_model([10.0], [1], [1.0])
@@ -156,6 +172,26 @@ class TestCalibration:
         predicted = [result.predict(feature_vector(m, machine, occupancy))
                      for m in metrics_list]
         assert np.allclose(predicted, times, rtol=1e-3)
+
+    def test_cost_calibration_fits_observed_vector_addition(self):
+        preset = GTX_650
+        algorithm = VectorAddition()
+        sizes = [200_000, 500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000]
+        observed = algorithm.observe_sweep(
+            sizes, config=DeviceConfig.gtx650()
+        ).total_times
+        metrics_list = [algorithm.metrics(n, preset.machine) for n in sizes]
+        result = calibrate_cost_parameters(
+            metrics_list, observed, preset.machine, preset.occupancy,
+            nominal=preset.parameters,
+        )
+        assert result.r_squared > 0.99
+        predicted = [
+            result.predict(feature_vector(m, preset.machine, preset.occupancy))
+            for m in metrics_list
+        ]
+        errors = np.abs(np.array(predicted) - np.array(observed))
+        assert errors.max() / max(observed) < 0.2
 
     def test_cost_calibration_needs_two_observations(self, machine, occupancy):
         factory = linear_metrics_factory(machine)

@@ -8,6 +8,7 @@ from concurrent.futures import wait
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import ExperimentSpec, Session, predict_group
 from repro.serving import (
@@ -23,9 +24,14 @@ from repro.serving import (
     ServerOverloadedError,
     resolve_policy,
 )
+from repro.serving.queue import MODES
+from repro.workloads.sweeps import dense_sweep
 
 #: Tiny explicit sweeps so every serving test executes quickly.
 TINY_SIZES = (1_000, 4_000)
+
+#: The three scheduling policies.
+POLICIES = ("fifo", "fair-share", "deadline")
 
 
 def tiny_spec(algorithm="vector_addition", **kwargs) -> ExperimentSpec:
@@ -44,12 +50,39 @@ def overlapping_specs():
     ]
 
 
+def burst_specs(requests=32, points=256, window=128):
+    """Overlapping ``window``-point slices walking a dense size grid.
+
+    Consecutive requests overlap heavily while no two are identical: the
+    traffic coalescing exists for.
+    """
+    sizes = dense_sweep(points).sizes
+    span = points - window
+    return [
+        tiny_spec(sizes=tuple(sizes[offset:offset + window]))
+        for offset in (i * span // (requests - 1) for i in range(requests))
+    ]
+
+
 def assert_results_identical(got, want):
     assert got.to_json() == want.to_json()
 
 
+def assert_predictions_identical(got, want):
+    assert got.sizes == want.sizes
+    for name, values in want.series.items():
+        np.testing.assert_array_equal(got.series[name], values)
+
+
+def isolated_answer(spec, mode):
+    """The answer a request gets when it is served alone."""
+    if mode == "predict":
+        return predict_group([spec])[0]
+    return Session().run_many([spec])[0]
+
+
 class TestCoalescingParity:
-    @pytest.mark.parametrize("policy", ["fifo", "fair-share", "deadline"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_results_bit_for_bit_equal_isolated_run_many(self, policy):
         specs = overlapping_specs()
         server = PredictionServer(policy=policy, workers=2)
@@ -60,7 +93,7 @@ class TestCoalescingParity:
         for got, want in zip(results, isolated):
             assert_results_identical(got, want)
 
-    @pytest.mark.parametrize("policy", ["fifo", "fair-share", "deadline"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_predict_mode_equals_isolated_predict_group(self, policy):
         specs = overlapping_specs()
         server = PredictionServer(policy=policy, workers=2)
@@ -68,26 +101,39 @@ class TestCoalescingParity:
         with server:
             predictions = [f.result(timeout=120) for f in futures]
         for spec, got in zip(specs, predictions):
-            want = predict_group([spec])[0]
-            assert got.sizes == want.sizes
-            for name, values in want.series.items():
-                np.testing.assert_array_equal(got.series[name], values)
+            assert_predictions_identical(got, predict_group([spec])[0])
 
-    def test_pre_start_requests_coalesce_into_fewer_groups(self):
-        specs = [
+    @pytest.mark.parametrize("specs", [
+        [
             tiny_spec(sizes=(1_000, 2_000)),
             tiny_spec(sizes=(2_000, 4_000)),
             tiny_spec(sizes=(4_000, 8_000)),
-        ]
+        ],
+        burst_specs(),
+    ], ids=["three", "burst32"])
+    def test_pre_start_requests_coalesce_into_fewer_groups(self, specs):
         server = PredictionServer(workers=1)
         futures = server.submit_many(specs, mode="predict")
         with server:
             wait(futures, timeout=120)
         stats = server.stats()
-        assert stats.completed == 3
+        assert stats.completed == len(specs)
         assert stats.dispatched_groups == 1
-        assert stats.coalescing_ratio == pytest.approx(3.0)
+        assert stats.coalescing_ratio == pytest.approx(len(specs))
         assert stats.latency_p50_s > 0.0
+        for spec, future in zip(specs, futures):
+            assert_predictions_identical(
+                future.result(), predict_group([spec])[0]
+            )
+
+    def test_burst_windows_overlap_but_differ(self):
+        specs = burst_specs()
+        windows = [set(spec.sizes) for spec in specs]
+        assert len(specs) == 32
+        assert all(len(window) == 128 for window in windows)
+        assert len({tuple(spec.sizes) for spec in specs}) == 32
+        for first, second in zip(windows, windows[1:]):
+            assert first & second and first != second
 
     def test_concurrent_submitters_all_get_correct_answers(self):
         specs = overlapping_specs()
@@ -120,6 +166,64 @@ class TestCoalescingParity:
                 answers.append([f.result(timeout=120) for f in futures])
         for got, want in zip(answers[0], answers[1]):
             assert_results_identical(got, want)
+
+
+#: Sizes the generated request windows are cut from.
+TRAFFIC_GRID = (1_000, 2_000, 4_000, 8_000, 16_000)
+
+
+@st.composite
+def traffic(draw):
+    """Overlapping windows over two algorithms, in a random order, split
+    at a random point into requests sent before and after the start."""
+    requests = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["vector_addition", "reduction"]),
+            st.integers(0, len(TRAFFIC_GRID) - 1),
+            st.integers(1, 3),
+            st.sampled_from(["A", "B"]),
+            st.one_of(st.none(), st.floats(60.0, 600.0)),
+        ),
+        min_size=1, max_size=6,
+    ))
+    order = draw(st.permutations(range(len(requests))))
+    before = draw(st.integers(0, len(requests)))
+    submissions = [
+        (tiny_spec(name, sizes=TRAFFIC_GRID[start:start + width]),
+         tenant, deadline_s)
+        for name, start, width, tenant, deadline_s in
+        (requests[i] for i in order)
+    ]
+    return submissions[:before], submissions[before:]
+
+
+class TestCoalescingUnderGeneratedTraffic:
+    """Coalesced answers equal isolated ones under any interleaving."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(submissions=traffic())
+    def test_every_answer_equals_the_isolated_one(self, policy, mode,
+                                                  submissions):
+        before, after = submissions
+        server = PredictionServer(policy=policy, workers=2)
+
+        def submit(spec, tenant, deadline_s):
+            return server.submit(
+                spec, tenant=tenant, deadline_s=deadline_s, mode=mode
+            )
+
+        futures = [submit(*request) for request in before]
+        with server:
+            futures += [submit(*request) for request in after]
+            answers = [future.result(timeout=120) for future in futures]
+        for (spec, _, _), got in zip(before + after, answers):
+            want = isolated_answer(spec, mode)
+            if mode == "predict":
+                assert_predictions_identical(got, want)
+            else:
+                assert_results_identical(got, want)
 
 
 class TestLifecycleAndErrors:

@@ -231,11 +231,13 @@ class TestShardedRuns:
                 GPUDevice(DeviceConfig.gtx650()), {}
             )
 
-    def test_sharding_speeds_up_the_simulated_run(self):
+    @pytest.mark.parametrize("n", [200_000, 2_000_000])
+    def test_sharding_speeds_up_the_simulated_run(self, n):
         algorithm = VectorAddition()
-        serial = algorithm.observe_sharded(200_000, devices=1, seed=0)
-        sharded = algorithm.observe_sharded(200_000, devices=4, seed=0)
+        serial = algorithm.observe_sharded(n, devices=1, seed=0)
+        sharded = algorithm.observe_sharded(n, devices=4, seed=0)
         assert sharded.makespan_s < serial.makespan_s
+        assert sharded.makespan_s < sharded.serial_time_s
         assert sharded.sharding_speedup > 2.0
 
     def test_more_devices_than_elements_leaves_devices_idle(self):
@@ -320,16 +322,19 @@ class TestScalingFiguresAndTables:
         rows = series.as_rows()
         assert len(rows) == len(series.sizes)
 
-    def test_figure_shard_sweep_direct(self):
-        series = figure_shard_sweep("vector_addition", 1_000_000)
+    @pytest.mark.parametrize("n", [1_000_000, 10_000_000])
+    def test_figure_shard_sweep_direct(self, n):
+        series = figure_shard_sweep("vector_addition", n)
         assert series.sizes == list(SHARD_COUNT_SWEEP.sizes)
         speedups = series.series["Speedup Δ"]
         assert speedups[0] == pytest.approx(1.0)
         assert all(a <= b + 1e-12 for a, b in zip(speedups, speedups[1:]))
+        assert speedups[-1] > speedups[0]
 
-    def test_figure_shard_sweep_with_contention_flattens(self):
-        free = figure_shard_sweep("vector_addition", 1_000_000, contention=0.0)
-        jammed = figure_shard_sweep("vector_addition", 1_000_000, contention=1.0)
+    @pytest.mark.parametrize("n", [1_000_000, 10_000_000])
+    def test_figure_shard_sweep_with_contention_flattens(self, n):
+        free = figure_shard_sweep("vector_addition", n, contention=0.0)
+        jammed = figure_shard_sweep("vector_addition", n, contention=1.0)
         assert jammed.series["Sharded"][-1] > free.series["Sharded"][-1]
 
     def test_scaling_summary_renders_from_result_set(self, scaling_results):
@@ -341,3 +346,21 @@ class TestScalingFiguresAndTables:
         text = render_scaling_summary(summaries)
         assert "vector_addition" in text
         assert "saving share" in text
+
+    def test_paper_sweeps_two_devices_never_lose(self):
+        """Over the paper's sweeps: sharding wins big when copy-bound."""
+        specs = [
+            ExperimentSpec(
+                name, scale="paper",
+                backends=("atgpu", "swgpu", "perfect", "atgpu-multi"),
+            )
+            for name in ("vector_addition", "reduction")
+        ]
+        results = Session().run_many(specs)
+        figure = figure_scaling(results.get("vector_addition"))
+        assert np.all(figure.series["Speedup Δ"] > 1.0)
+        summaries = scaling_summary(results)
+        assert summaries["vector_addition"].mean_speedup > 1.5
+        assert summaries["reduction"].mean_speedup >= 1.0
+        text = render_scaling_summary(summaries)
+        assert "vector_addition" in text and "reduction" in text

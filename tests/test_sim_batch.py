@@ -30,6 +30,8 @@ from repro.simulator.batch import (
     simulate_sweep,
 )
 from repro.simulator.config import DeviceConfig
+from repro.simulator.functional import FunctionalEngine
+from repro.workloads import PAPER_SWEEPS
 
 #: Every registered algorithm appears here by name so the SIM001 lint rule
 #: (and a human reader) can see the parity net has no holes.
@@ -218,6 +220,52 @@ class TestDegenerateScheduleOracle:
         self._assert_degenerate(
             create(name), n, getattr(DeviceConfig, preset)()
         )
+
+
+class TestProbeWorkCounts:
+    """The probe executes one block per block class of each launch.
+
+    Tracing each class once is what makes ``observe_sweep`` fast for the
+    index-only algorithms (``sim_trace_data_dependent = False``).  Over
+    each Section IV sweep, the blocks the probe executes must equal the
+    class representatives of its launches exactly; executing every block
+    of a functional launch again multiplies the count (reduction: 91 ->
+    18,531) while a timing ratio still clears its floor.
+    """
+
+    #: Blocks executed per sweep: one per representative block.
+    EXPECTED_BLOCKS = {
+        "vector_addition": 20,
+        "reduction": 91,
+        "matrix_multiplication": 19,
+        "prefix_sum": 133,
+        "stencil_1d": 64,
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_BLOCKS))
+    def test_observe_sweep_executes_one_block_per_class(self, name,
+                                                         monkeypatch):
+        algorithm = create(name)
+        assert algorithm.sim_trace_data_dependent is False
+        counts = {"executed": 0, "representatives": 0}
+        execute_block = FunctionalEngine.execute_block
+        launch = ProbeDevice.launch
+
+        def counted_block(self, kernel, block_index):
+            counts["executed"] += 1
+            return execute_block(self, kernel, block_index)
+
+        def counted_launch(self, kernel, force_functional=None):
+            counts["representatives"] += len(kernel.representative_blocks())
+            return launch(self, kernel, force_functional)
+
+        monkeypatch.setattr(FunctionalEngine, "execute_block", counted_block)
+        monkeypatch.setattr(ProbeDevice, "launch", counted_launch)
+        sweep = PAPER_SWEEPS.get(name)
+        sizes = sweep.sizes if sweep else algorithm.default_sizes()
+        algorithm.observe_sweep(sizes)
+        assert counts["executed"] == counts["representatives"]
+        assert counts["executed"] == self.EXPECTED_BLOCKS[name]
 
 
 class TestProbeDevice:

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.transfer import TransferDirection
 from repro.simulator import (
+    BlockContext,
     BlockScheduler,
     DeviceConfig,
     GPUDevice,
     GlobalMemory,
     InstructionKind,
     InstructionRecord,
+    InvalidAccessError,
     KernelProgram,
     OutOfGlobalMemoryError,
     OutOfSharedMemoryError,
@@ -64,6 +66,17 @@ class TestBankConflicts:
         assert degree == 2
 
 
+def block_context(memory, *arrays) -> BlockContext:
+    """A one-block execution context over ``arrays`` of ``memory``."""
+    return BlockContext(
+        block_index=0,
+        num_blocks=1,
+        config=DeviceConfig.tiny_test_device(),
+        global_memory=memory,
+        arrays={array.name: array for array in arrays},
+    )
+
+
 class TestGlobalMemory:
     def test_allocation_and_capacity(self):
         memory = GlobalMemory(capacity_words=128, words_per_block=32)
@@ -93,20 +106,30 @@ class TestGlobalMemory:
         with pytest.raises(Exception):
             memory.free("ghost")
 
-    def test_device_array_read_write_and_bounds(self):
+    def test_warp_write_then_read_and_bounds(self):
         memory = GlobalMemory(128, 32)
         array = memory.allocate("a", 16, dtype=np.int64)
-        array.write(np.arange(4), np.array([5, 6, 7, 8]))
-        assert list(array.read(np.arange(4))) == [5, 6, 7, 8]
-        with pytest.raises(Exception):
-            array.read(np.array([16]))
+        ctx = block_context(memory, array)
+        ctx.global_write("a", np.arange(4), np.array([5, 6, 7, 8]))
+        assert list(ctx.global_read("a", np.arange(4))) == [5, 6, 7, 8]
+        for bad in ([16], [-1]):
+            with pytest.raises(InvalidAccessError):
+                ctx.global_read("a", np.array(bad))
+            with pytest.raises(InvalidAccessError):
+                ctx.global_write("a", np.array([0, *bad]), np.array([1, 2]))
+        # A rejected access moves no data and leaves no trace record.
+        assert list(array.data[:4]) == [5, 6, 7, 8]
+        assert len(ctx.trace.records) == 2
 
-    def test_transactions_for_respects_offset(self):
+    def test_warp_access_transactions_respect_offset(self):
         memory = GlobalMemory(256, 32)
         memory.allocate("pad", 16)
         array = memory.allocate("a", 64)
+        ctx = block_context(memory, array)
         # Array starts at word 16, so elements 0..15 and 16..47 straddle blocks.
-        assert memory.transactions_for(array, np.arange(32)) == 2
+        ctx.global_read("a", np.arange(32))
+        ctx.global_write("a", np.arange(32), np.zeros(32))
+        assert [r.transactions for r in ctx.trace.records] == [2, 2]
 
 
 class TestSharedMemory:

@@ -29,6 +29,7 @@ from repro.experiments import (
     figure_chunk_sweep,
     figure_overlap,
     overlap_summary,
+    render_overlap_summary,
 )
 from repro.simulator.config import DeviceConfig
 from repro.simulator.streams import (
@@ -384,15 +385,14 @@ class TestOverlapAcceptance:
             assert max(stages) <= cost <= sum(stages)
             assert cost < model.serial_round_cost(round_metrics, kernel)
 
-    def test_simulated_makespan_strictly_below_serial_and_bounded(self):
-        algorithm = VectorAddition()
-        for n in self.SIZES:
-            result = algorithm.observe_streamed(
-                n, config=DeviceConfig.gtx650(), chunks=self.CHUNKS
-            )
-            busy = result.timeline.engine_busy_times()
-            assert result.makespan_s < result.serial_time_s
-            assert max(busy.values()) <= result.makespan_s
+    @pytest.mark.parametrize("n", [*SIZES, 2_000_000])
+    def test_simulated_makespan_strictly_below_serial_and_bounded(self, n):
+        result = VectorAddition().observe_streamed(
+            n, config=DeviceConfig.gtx650(), chunks=self.CHUNKS
+        )
+        busy = result.timeline.engine_busy_times()
+        assert result.makespan_s < result.serial_time_s
+        assert max(busy.values()) <= result.makespan_s
 
     def test_prediction_and_simulation_agree_on_overlap_speedup(self):
         """Both sides must agree on the direction and rough magnitude."""
@@ -420,8 +420,27 @@ class TestOverlapAcceptance:
                 predicted_speedup, rel=0.35
             )
 
-    def test_chunk_sweep_figure_has_serial_baseline(self):
-        figure = figure_chunk_sweep("vector_addition", 200_000)
+    @pytest.mark.parametrize("n", [200_000, 10_000_000])
+    def test_chunk_sweep_figure_has_serial_baseline(self, n):
+        figure = figure_chunk_sweep("vector_addition", n)
         assert figure.sizes[0] == 1
         assert figure.series["Speedup Δ"][0] == pytest.approx(1.0)
         assert figure.series["Speedup Δ"].max() > 1.0
+
+    def test_paper_sweeps_overlap_never_loses(self):
+        """Over the paper's sweeps: overlap wins big when copy-bound."""
+        specs = [
+            ExperimentSpec(
+                name, scale="paper",
+                backends=("atgpu", "swgpu", "perfect", "atgpu-async"),
+            )
+            for name in ("vector_addition", "reduction")
+        ]
+        results = Session().run_many(specs)
+        figure = figure_overlap(results.get("vector_addition"))
+        assert np.all(figure.series["Speedup Δ"] > 1.0)
+        summaries = overlap_summary(results)
+        assert summaries["vector_addition"].mean_speedup > 1.05
+        assert summaries["reduction"].mean_speedup >= 1.0
+        text = render_overlap_summary(summaries)
+        assert "vector_addition" in text and "reduction" in text

@@ -60,6 +60,7 @@ from repro.simulator.config import DeviceConfig
 from repro.simulator.device import GPUDevice
 from repro.simulator.device_pool import DevicePool
 from repro.utils.validation import UnknownFieldError
+from repro.workloads import sweep_for
 
 #: A mixed-generation fleet: one default (gtx650) device, one faster
 #: gtx980, one occupancy-capped default — three distinct throughputs on
@@ -72,6 +73,16 @@ HETERO = Topology(
     ),
     links=(LinkSpec(kind="host", socket=0, contention=0.3),),
 )
+
+#: Two generations on a moderately contended host link: one default
+#: (gtx650) device beside a gtx980.
+HETERO_FLEET = Topology(
+    devices=(DeviceSpec(), DeviceSpec(preset="gtx980")),
+    links=(LinkSpec(kind="host", socket=0, contention=0.3),),
+)
+
+#: Matrix multiplication's Section IV sweep (compute-bound).
+MATMUL_SWEEP = tuple(sweep_for("matrix_multiplication").sizes)
 
 #: Two sockets with their own links plus a P2P fabric.
 NUMA_P2P = Topology(
@@ -525,23 +536,36 @@ class TestHomogeneousOracles:
         assert shim == direct
 
 
+def hetero_sweep_costs(planner: str) -> np.ndarray:
+    """Matrix multiplication's Section IV sweep priced on HETERO_FLEET."""
+    preset = GTX_650
+    return topology_cost_batch(
+        create("matrix_multiplication").compile_batch(MATMUL_SWEEP, preset),
+        preset.machine, preset.parameters, preset.occupancy, HETERO_FLEET,
+        planner=planner,
+    )
+
+
 class TestHeterogeneousModel:
-    @pytest.mark.parametrize("fleet", [HETERO, NUMA_P2P])
-    def test_scalar_and_batch_agree_exactly(self, fleet):
+    @pytest.mark.parametrize("fleet, name, sizes, planner", [
+        (HETERO, "vector_addition", (4096, 100_000, 1_000_000), "load-aware"),
+        (NUMA_P2P, "vector_addition", (4096, 100_000, 1_000_000), "load-aware"),
+        (HETERO_FLEET, "matrix_multiplication", MATMUL_SWEEP, "load-aware"),
+        (HETERO_FLEET, "matrix_multiplication", MATMUL_SWEEP, "even"),
+    ], ids=["hetero", "numa-p2p", "hetero-fleet-matmul", "hetero-fleet-even"])
+    def test_scalar_and_batch_agree_exactly(self, fleet, name, sizes, planner):
         preset = GTX_650
-        algorithm = VectorAddition()
-        sizes = (4096, 100_000, 1_000_000)
-        batch = MetricsBatch.compile(
-            "vector_addition", sizes,
-            metrics_factory=lambda n: algorithm.metrics(n, preset.machine),
-        )
+        algorithm = create(name)
         vector = topology_cost_batch(
-            batch, preset.machine, preset.parameters, preset.occupancy, fleet
+            algorithm.compile_batch(sizes, preset),
+            preset.machine, preset.parameters, preset.occupancy, fleet,
+            planner=planner,
         )
         for index, n in enumerate(sizes):
             scalar = topology_gpu_cost(
                 algorithm.metrics(n, preset.machine),
                 preset.machine, preset.parameters, preset.occupancy, fleet,
+                planner=planner,
             )
             assert vector[index] == scalar
 
@@ -562,6 +586,13 @@ class TestHeterogeneousModel:
             planner="even",
         ).gpu_cost(metrics)
         assert load_aware < even
+
+    def test_load_aware_sweep_total_is_37_percent_below_even(self):
+        load_aware = hetero_sweep_costs("load-aware").sum()
+        even = hetero_sweep_costs("even").sum()
+        assert round(load_aware * 1e3, 2) == 16.28
+        assert round(even * 1e3, 2) == 25.85
+        assert round(1.0 - load_aware / even, 4) == 0.3704
 
     def test_planner_validated(self):
         preset = GTX_650
