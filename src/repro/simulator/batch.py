@@ -16,8 +16,10 @@ This module packs a sweep into *array programs*, the way
    Because the genuine host program executes — same allocations, same
    launch decisions, same representative-block traces — the recorded
    program is structurally identical to the scalar run's timeline.  For
-   index-only algorithms the probe traces each block class once and
-   expands it in block order, so no launch runs block by block.
+   index-only algorithms the probe traces each block class once and sums
+   a functional launch's classes as runs of blocks, in block order
+   (:meth:`~repro.simulator.timing.TimingEngine.launch_totals`), so no
+   launch runs block by block.
 2. **Pack** — programs with the same operation structure are grouped and
    their per-operation quantities stacked into operations × sizes arrays.
 3. **Evaluate** — transfer durations come from
@@ -85,11 +87,10 @@ class ProbeKernel:
 
     The per-block aggregation
     (:meth:`~repro.simulator.timing.TimingEngine.launch_totals`) is
-    order-sensitive float accumulation, so it happens scalarly at record
-    time, over pairs in the order the scalar
-    :meth:`~repro.simulator.timing.TimingEngine.kernel_timing` sums them: one
-    ``(trace, 1)`` pair per block for a functional launch, one weighted pair
-    per block class for a sampled one.  Everything downstream of these
+    order-sensitive float accumulation, so it happens at record time, under
+    the launch decision the scalar device makes: each block class's run
+    added one block at a time for a functional launch, each class weighted
+    by its size for a sampled one.  Everything downstream of these
     aggregates is elementwise and vectorizes without changing a bit.
     """
 
@@ -128,12 +129,12 @@ class ProbeDevice(GPUDevice):
     ``GPUAlgorithm.sim_trace_data_dependent``) the probe skips host-buffer
     copies and vectorised data fallbacks, and it traces each block class
     once even where the scalar device executes every block:
-    :meth:`~repro.simulator.functional.FunctionalEngine.execute_classes`
-    expands the classes of a functional launch into per-block pairs in
-    block order.  The timing then equals ``observe(n)`` bit for bit as long
-    as every block's trace matches its class representative's, which the
-    block-class faithfulness property checks (lint ``SIM001``).
-    Data-dependent algorithms run every block, as on the scalar device.
+    :meth:`~repro.simulator.timing.TimingEngine.launch_totals` adds a
+    functional launch's classes one block at a time, in block order.  The
+    timing then equals ``observe(n)`` bit for bit as long as every block's
+    trace matches its class representative's, which the block-class
+    faithfulness property checks (lint ``SIM001``).  Data-dependent
+    algorithms run every block, as on the scalar device.
     """
 
     def __init__(
@@ -197,15 +198,13 @@ class ProbeDevice(GPUDevice):
     def _execute(self, kernel: KernelProgram, functional: bool):
         if self.data_dependent:
             return super()._execute(kernel, functional)
-        return self.functional_engine.execute_classes(kernel, functional)
+        return self.functional_engine.execute_sampled(kernel)
 
     def launch(self, kernel: KernelProgram, force_functional: Optional[bool] = None):
         kernel.validate(self.global_memory)
-        pairs = self._execute(
-            kernel, self.launches_functionally(kernel, force_functional)
-        )
+        functional = self.launches_functionally(kernel, force_functional)
         counters, total_issue, total_latency = self.timing_engine.launch_totals(
-            kernel.name, pairs
+            kernel.name, self._execute(kernel, functional), functional
         )
         self.ops.append(
             ProbeKernel(

@@ -196,16 +196,19 @@ class GPUDevice:
     ) -> KernelTiming:
         """The timing :meth:`launch` would give ``kernel``, from block classes.
 
-        Each block class is traced once, under the launch decision
-        :meth:`launch` would make
-        (:meth:`~repro.simulator.functional.FunctionalEngine.execute_classes`);
-        no data is computed and nothing is recorded.  Stream and shard plans
-        time their kernels this way.
+        Each block class is traced once
+        (:meth:`~repro.simulator.functional.FunctionalEngine.execute_sampled`)
+        and summed under the launch decision :meth:`launch` would make, one
+        block at a time for a functional launch
+        (:meth:`~repro.simulator.timing.TimingEngine.launch_totals`); no data
+        is computed and nothing is recorded.  Stream and shard plans time
+        their kernels this way.
         """
-        pairs = self.functional_engine.execute_classes(
-            kernel, self.launches_functionally(kernel, force_functional)
+        return self.timing_engine.kernel_timing(
+            kernel.name,
+            self.functional_engine.execute_sampled(kernel),
+            self.launches_functionally(kernel, force_functional),
         )
-        return self.timing_engine.kernel_timing(kernel.name, pairs)
 
     def launch(self, kernel: KernelProgram, force_functional: Optional[bool] = None) -> LaunchRecord:
         """Launch a kernel and account for its execution time.
@@ -217,7 +220,7 @@ class GPUDevice:
         grid = kernel.grid_size()
         functional = self.launches_functionally(kernel, force_functional)
         pairs = self._execute(kernel, functional)
-        timing = self.timing_engine.kernel_timing(kernel.name, pairs)
+        timing = self.timing_engine.kernel_timing(kernel.name, pairs, functional)
         record = LaunchRecord(
             kernel_name=kernel.name,
             num_blocks=grid,

@@ -2,28 +2,29 @@
 
 The functional engine runs a kernel's blocks through a
 :class:`~repro.simulator.kernel.BlockContext`, so data movement really
-happens and each executed block yields its trace.  It offers three ways to
+happens and each executed block yields its trace.  It offers two ways to
 cover a grid:
 
 * :meth:`FunctionalEngine.execute_all` executes *every* block.  The
   :class:`~repro.simulator.device.GPUDevice` uses it for functional-size
   grids, which makes ``observe(n)`` the independent oracle of the faster
-  paths below.
+  path below.
 * :meth:`FunctionalEngine.execute_sampled` traces one representative block
-  per block class (:meth:`KernelProgram.representative_blocks`) and weights
-  it by the class's size.  Paper-scale grids are timed this way.
-* :meth:`FunctionalEngine.execute_classes` also traces each class once, but
-  for a grid that would run functionally it expands each class into one
-  ``(trace, 1)`` pair per block, in block order.  Every per-block float sum
-  then runs in the order ``execute_all`` gives it, so the timing equals a
-  full execution bit for bit whenever each block's trace matches its
-  class representative's (the block-class faithfulness property, tested
-  for every algorithm that sets ``sim_trace_data_dependent = False``).
+  per block class (:meth:`KernelProgram.representative_blocks`) and pairs
+  it with the class's size.  Paper-scale grids are timed this way, and so
+  are the batched probe's and the stream and shard plans' launches of any
+  size.  For a grid the device would run functionally,
+  :meth:`~repro.simulator.timing.TimingEngine.launch_totals` sums each
+  class's run of blocks one block at a time, in block order, so the timing
+  equals a full execution bit for bit whenever each block's trace matches
+  its class representative's (the block-class faithfulness property,
+  tested for every algorithm that sets ``sim_trace_data_dependent =
+  False``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.simulator.config import DeviceConfig
 from repro.simulator.kernel import BlockContext, KernelProgram
@@ -92,22 +93,3 @@ class FunctionalEngine:
                 f"{covered} blocks but the grid has {grid}"
             )
         return pairs
-
-    def execute_classes(
-        self, kernel: KernelProgram, functional: bool
-    ) -> List[Tuple[BlockTrace, int]]:
-        """Trace each block class once, expanded when ``functional``.
-
-        ``functional`` is the launch decision of the device the timing
-        stands in for.  A sampled launch keeps the weighted pairs of
-        :meth:`execute_sampled`; a functional one gets each class's trace
-        once per block, in block order, so sums over the pairs add up in
-        the same order as over :meth:`execute_all`'s traces.
-        """
-        pairs = self.execute_sampled(kernel)
-        if not functional:
-            return pairs
-        return [
-            (trace, 1) for trace, multiplicity in pairs
-            for _ in range(multiplicity)
-        ]

@@ -238,11 +238,13 @@ class KernelProgram(abc.ABC):
         Returns ``(block_index, multiplicity)`` pairs covering the whole
         grid in block order: each pair's class is the next ``multiplicity``
         blocks, and ``block_index`` is one of them.  Sampled launches weight
-        each class's trace by its multiplicity; the batched probe repeats it
-        once per block.  Either is exact only if every block's trace matches
-        its representative's.  The default assumes a structurally uniform
-        grid: block 0 stands for blocks ``0 .. grid-2`` and the last block,
-        which may be ragged, for itself.
+        each class's trace by its multiplicity; the timing of a launch that
+        would run functionally adds it once per block
+        (:meth:`~repro.simulator.timing.TimingEngine.launch_totals`).  Either
+        is exact only if every block's trace matches its representative's.
+        The default assumes a structurally uniform grid: block 0 stands for
+        blocks ``0 .. grid-2`` and the last block, which may be ragged, for
+        itself.
         """
         grid = self.grid_size()
         if grid <= 2:

@@ -29,7 +29,7 @@ converted to seconds, plus the host-side launch overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -102,47 +102,81 @@ class TimingEngine:
         self,
         kernel_name: str,
         traces_with_counts: Sequence[Tuple[BlockTrace, int]],
+        functional: bool = False,
     ) -> Tuple[KernelCounters, float, float]:
         """Counters plus total issue and latency cycles of a launch.
 
-        The totals are multiplicity-weighted sums over the pairs, in pair
-        order.  That order decides the float result, so the batched probe
-        aggregates its launches through this method too.
+        Each ``(trace, count)`` pair gives one row: the block's issue and
+        latency cycles and its five float counters.  A ``functional``
+        launch repeats the row once per block of the run; a sampled one
+        multiplies it by the count.  ``np.add.accumulate`` then adds the
+        rows left to right, rounding after every add, so a run of blocks
+        sums exactly as a block-by-block execution does (neither the
+        pairwise ``np.sum`` nor the builtin ``sum``, compensated on
+        Python 3.12).  The batched probe aggregates its launches here too.
         """
-        counters = KernelCounters.from_traces(kernel_name, traces_with_counts)
-        total_issue = sum(
-            self.block_issue_cycles(trace) * count
-            for trace, count in traces_with_counts
+        if not traces_with_counts:
+            raise ValueError("a launch needs at least one block trace")
+        rows = []
+        counts = []
+        num_blocks = bank_conflict_blocks = max_shared_words = 0
+        for trace, count in traces_with_counts:
+            rows.append((
+                self.block_issue_cycles(trace),
+                self.block_latency_cycles(trace),
+                trace.compute_operations,
+                trace.shared_accesses,
+                trace.global_transactions,
+                trace.global_words,
+                trace.barriers,
+            ))
+            counts.append(count)
+            num_blocks += count
+            if trace.has_bank_conflicts:
+                bank_conflict_blocks += count
+            max_shared_words = max(max_shared_words, trace.shared_words_used)
+        table = np.array(rows, dtype=float)
+        if functional:
+            table = np.repeat(table, counts, axis=0)
+        else:
+            table = table * np.array(counts, dtype=float)[:, None]
+        (issue, latency, compute, shared, transactions, words,
+         barriers) = np.add.accumulate(table, axis=0)[-1].tolist()
+        counters = KernelCounters(
+            kernel_name=kernel_name,
+            num_blocks=num_blocks,
+            compute_operations=compute,
+            shared_accesses=shared,
+            global_transactions=transactions,
+            global_words=words,
+            barriers=barriers,
+            bank_conflict_blocks=bank_conflict_blocks,
+            max_shared_words_per_block=max_shared_words,
         )
-        total_latency = sum(
-            self.block_latency_cycles(trace) * count
-            for trace, count in traces_with_counts
-        )
-        return counters, total_issue, total_latency
+        return counters, issue, latency
 
     def kernel_timing(
         self,
         kernel_name: str,
         traces_with_counts: Sequence[Tuple[BlockTrace, int]],
-        shared_words_per_block: int = None,
+        functional: bool = False,
     ) -> KernelTiming:
         """Time a launch described by ``(trace, multiplicity)`` pairs.
 
         The traces are assumed to cover the whole grid (their multiplicities
-        sum to the grid size).  When blocks differ structurally the engine
-        uses the *weighted mean* per-block cycle components, which is exact
-        for the aggregate issue and bandwidth bounds and a close approximation
-        for the latency bound.
+        sum to the grid size); ``functional`` is the launch decision that
+        fixes their summation order (:meth:`launch_totals`).  When blocks
+        differ structurally the engine uses the *weighted mean* per-block
+        cycle components, which is exact for the aggregate issue and
+        bandwidth bounds and a close approximation for the latency bound.
         """
-        if not traces_with_counts:
-            raise ValueError("kernel_timing requires at least one block trace")
         counters, total_issue, total_latency = self.launch_totals(
-            kernel_name, traces_with_counts
+            kernel_name, traces_with_counts, functional
         )
         num_blocks = counters.num_blocks
-        if shared_words_per_block is None:
-            shared_words_per_block = counters.max_shared_words_per_block
-        plan = self.scheduler.plan(num_blocks, shared_words_per_block)
+        plan = self.scheduler.plan(
+            num_blocks, counters.max_shared_words_per_block
+        )
 
         mean_issue = total_issue / num_blocks
         mean_latency = total_latency / num_blocks
@@ -171,14 +205,6 @@ class TimingEngine:
             plan=plan,
             counters=counters,
         )
-
-    def kernel_timing_from_traces(
-        self, kernel_name: str, traces: Iterable[BlockTrace],
-        shared_words_per_block: int = None,
-    ) -> KernelTiming:
-        """Convenience wrapper for fully-enumerated traces (multiplicity one)."""
-        pairs = [(trace, 1) for trace in traces]
-        return self.kernel_timing(kernel_name, pairs, shared_words_per_block)
 
 
 @dataclass(frozen=True)

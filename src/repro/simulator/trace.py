@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 class InstructionKind(enum.Enum):
@@ -145,22 +145,14 @@ class BlockTrace:
         """Whether any shared access serialised over banks."""
         return self._has_bank_conflicts
 
-    def counters(self) -> Dict[str, float]:
-        """Aggregate counters as a plain dictionary."""
-        return {
-            "compute_operations": self.compute_operations,
-            "shared_accesses": float(self.shared_accesses),
-            "global_transactions": float(self.global_transactions),
-            "global_words": float(self.global_words),
-            "barriers": float(self.barriers),
-            "instructions": float(len(self.records)),
-            "shared_words_used": float(self.shared_words_used),
-        }
-
 
 @dataclass
 class KernelCounters:
-    """Aggregate counters of one kernel launch (all blocks)."""
+    """Aggregate counters of one kernel launch (all blocks).
+
+    Summed over a launch's block traces by
+    :meth:`~repro.simulator.timing.TimingEngine.launch_totals`.
+    """
 
     kernel_name: str
     num_blocks: int
@@ -171,27 +163,6 @@ class KernelCounters:
     barriers: float = 0.0
     bank_conflict_blocks: int = 0
     max_shared_words_per_block: int = 0
-
-    @staticmethod
-    def from_traces(
-        kernel_name: str,
-        traces_with_counts: Iterable[Tuple["BlockTrace", int]],
-    ) -> "KernelCounters":
-        """Aggregate (trace, multiplicity) pairs into kernel-level counters."""
-        counters = KernelCounters(kernel_name=kernel_name, num_blocks=0)
-        for trace, count in traces_with_counts:
-            counters.num_blocks += count
-            counters.compute_operations += trace.compute_operations * count
-            counters.shared_accesses += trace.shared_accesses * count
-            counters.global_transactions += trace.global_transactions * count
-            counters.global_words += trace.global_words * count
-            counters.barriers += trace.barriers * count
-            if trace.has_bank_conflicts:
-                counters.bank_conflict_blocks += count
-            counters.max_shared_words_per_block = max(
-                counters.max_shared_words_per_block, trace.shared_words_used
-            )
-        return counters
 
 
 class EventKind(enum.Enum):

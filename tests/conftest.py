@@ -7,9 +7,27 @@ import pytest
 from repro.core.cost import CostParameters
 from repro.core.machine import ATGPUMachine
 from repro.core.occupancy import OccupancyModel
-from repro.core.presets import GTX_650
+from repro.core.presets import GTX_650, PRESETS
 from repro.simulator.config import DeviceConfig
 from repro.simulator.device import GPUDevice
+
+
+@pytest.fixture(autouse=True)
+def presets_left_unchanged():
+    """Fails a test that leaves the preset registry changed.
+
+    A preset one test registers is seen by every later test, so a test
+    that iterates ``preset_names()`` would depend on test order.  Register
+    a preset for one test with ``monkeypatch.setitem(PRESETS, ...)``.
+    """
+    before = dict(PRESETS)
+    yield
+    changed = sorted(
+        name for name in set(PRESETS) | set(before)
+        if PRESETS.get(name) != before.get(name)
+    )
+    if changed:
+        pytest.fail(f"the test left presets {changed} registered or changed")
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from repro.algorithms import (
     paper_algorithm_names,
     reduction_rounds,
 )
+from repro.algorithms.base import outputs_match
 from repro.core.presets import GTX_650
 from repro.simulator import DeviceConfig
 
@@ -93,6 +94,28 @@ class TestCorrectness:
     def test_matmul_correct_for_multiples_of_warp(self, tiles):
         n = 32 * tiles
         assert MatrixMultiplication().observe(n, config=GTX, check=True).correct
+
+    @pytest.mark.parametrize("actual, expected", [
+        (np.arange(10), np.arange(10)),
+        (np.arange(10), np.arange(10) + 1),
+        (np.linspace(1, 2, 7), np.linspace(1, 2, 7) * (1 + 1e-7)),
+        (np.linspace(1, 2, 7), np.linspace(1, 2, 7) * (1 + 1e-3)),
+        (np.array([1.0, np.nan]), np.array([1.0, np.nan])),
+        (np.array([np.inf, -np.inf]), np.array([np.inf, -np.inf])),
+        (np.array([np.inf]), np.array([-np.inf])),
+        (np.array([[2, 3], [2, 3]]), np.array([2, 3])),
+        (np.array([3.0]), np.full(4, 3.0 + 1e-9)),
+        (np.array([[2, 3]]), np.array([[2], [4]])),
+    ], ids=[
+        "equal-ints", "unequal-ints", "floats-within-tolerance",
+        "floats-outside-tolerance", "nan", "equal-infs", "opposite-infs",
+        "broadcast-equal", "broadcast-close", "broadcast-unequal",
+    ])
+    def test_output_check_is_allclose(self, actual, expected):
+        # observe(check=True) tries exact equality before np.allclose.
+        assert outputs_match(actual, expected) is bool(
+            np.allclose(actual, expected)
+        )
 
 
 class TestVectorAdditionAnalysis:

@@ -4,10 +4,10 @@ Expression 2 prices a round's blocks as waves of one block's time, so it
 assumes a uniform grid.  The simulator makes the same assumption in two
 places: sampled launches weight one traced block per class
 (``KernelProgram.representative_blocks``), and the batched probe traces
-each class once even where the scalar device executes every block,
-repeating the class's trace once per block in block order.  Both are exact
-only while every block's trace aggregates equal those of its class
-representative.  Every algorithm that sets
+each class once even where the scalar device executes every block, adding
+the class's values once per block in block order
+(``TimingEngine.launch_totals``).  Both are exact only while every block's
+trace aggregates equal those of its class representative.  Every algorithm that sets
 ``sim_trace_data_dependent = False`` promises that, and lint ``SIM001``
 requires this property for each of them.
 

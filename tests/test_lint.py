@@ -830,20 +830,22 @@ class TestCli:
 # Self-hosting: the real package must be clean
 # --------------------------------------------------------------------- #
 class TestSelfHosting:
-    def test_package_tree_has_no_active_findings(self):
-        report = lint_paths([PACKAGE_ROOT], tests_root=TESTS_ROOT)
+    @pytest.fixture(scope="class")
+    def report(self):
+        """One lint of the package and test tree, shared by the class."""
+        return lint_paths([PACKAGE_ROOT], tests_root=TESTS_ROOT)
+
+    def test_package_tree_has_no_active_findings(self, report):
         assert report.checked_files > 50
         active = report.active
         assert active == [], "\n".join(render_text(active))
 
-    def test_every_rule_ran(self):
-        report = lint_paths([PACKAGE_ROOT], tests_root=TESTS_ROOT)
+    def test_every_rule_ran(self, report):
         assert {
             "LCK001", "PAR001", "FRZ001", "CEIL001", "DIC001", "SIM001"
         } <= set(report.rules)
 
-    def test_known_suppressions_carry_reasons(self):
-        report = lint_paths([PACKAGE_ROOT], tests_root=TESTS_ROOT)
+    def test_known_suppressions_carry_reasons(self, report):
         suppressed = [f for f in report.findings if f.suppressed]
         assert suppressed, "expected the documented FRZ001 memo suppressions"
         assert all(f.suppression_reason for f in suppressed)

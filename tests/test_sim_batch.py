@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import create
-from repro.core.presets import get_preset, register_preset
+from repro.core.presets import PRESETS, get_preset
 from repro.core.topology import Topology
 from repro.experiments import ExperimentSpec, mergeable, plan_groups, predict_group
 from repro.serving.policies import FIFOPolicy
@@ -31,6 +31,7 @@ from repro.simulator.batch import (
 )
 from repro.simulator.config import DeviceConfig
 from repro.simulator.functional import FunctionalEngine
+from repro.simulator.timing import TimingEngine
 from repro.workloads import PAPER_SWEEPS
 
 #: Every registered algorithm appears here by name so the SIM001 lint rule
@@ -223,17 +224,22 @@ class TestDegenerateScheduleOracle:
 
 
 class TestProbeWorkCounts:
-    """The probe executes one block per block class of each launch.
+    """Each block class is traced once and timed once.
 
     Tracing each class once is what makes ``observe_sweep`` fast for the
-    index-only algorithms (``sim_trace_data_dependent = False``).  Over
-    each Section IV sweep, the blocks the probe executes must equal the
-    class representatives of its launches exactly; executing every block
-    of a functional launch again multiplies the count (reduction: 91 ->
-    18,531) while a timing ratio still clears its floor.
+    index-only algorithms (``sim_trace_data_dependent = False``), and
+    summing a functional launch's classes as runs of blocks
+    (``TimingEngine.launch_totals``) keeps the timing from walking every
+    block again.  Over each Section IV sweep, and over reduction's streamed
+    and sharded schedules of it, the blocks traced and the per-block timing
+    evaluations (``block_issue_cycles`` calls) must both equal the class
+    representatives exactly.  Executing every block of a functional launch
+    again multiplies the first count (reduction: 91 -> 18,531); expanding
+    each class into one pair per block multiplies the second (reduction
+    streamed: 157 -> 43,145) while every simulated time stays the same.
     """
 
-    #: Blocks executed per sweep: one per representative block.
+    #: Blocks traced, and timing evaluations, per Section IV sweep.
     EXPECTED_BLOCKS = {
         "vector_addition": 20,
         "reduction": 91,
@@ -242,30 +248,67 @@ class TestProbeWorkCounts:
         "stencil_1d": 64,
     }
 
-    @pytest.mark.parametrize("name", sorted(EXPECTED_BLOCKS))
-    def test_observe_sweep_executes_one_block_per_class(self, name,
-                                                         monkeypatch):
+    #: The same for reduction's schedules of its sweep, as explore runs them.
+    EXPECTED_SCHEDULE_BLOCKS = {"streamed": 157, "sharded": 81}
+
+    @staticmethod
+    def _counts(monkeypatch, name, run) -> dict:
+        """Blocks traced, timing evaluations and class representatives of
+        ``run(algorithm, sizes)`` over ``name``'s Section IV sweep."""
         algorithm = create(name)
         assert algorithm.sim_trace_data_dependent is False
-        counts = {"executed": 0, "representatives": 0}
+        counts = {"executed": 0, "timed": 0, "representatives": 0}
         execute_block = FunctionalEngine.execute_block
-        launch = ProbeDevice.launch
+        execute_sampled = FunctionalEngine.execute_sampled
+        issue_cycles = TimingEngine.block_issue_cycles
 
         def counted_block(self, kernel, block_index):
             counts["executed"] += 1
             return execute_block(self, kernel, block_index)
 
-        def counted_launch(self, kernel, force_functional=None):
+        def counted_sampled(self, kernel):
             counts["representatives"] += len(kernel.representative_blocks())
-            return launch(self, kernel, force_functional)
+            return execute_sampled(self, kernel)
+
+        def counted_issue(self, trace):
+            counts["timed"] += 1
+            return issue_cycles(self, trace)
 
         monkeypatch.setattr(FunctionalEngine, "execute_block", counted_block)
-        monkeypatch.setattr(ProbeDevice, "launch", counted_launch)
+        monkeypatch.setattr(
+            FunctionalEngine, "execute_sampled", counted_sampled
+        )
+        monkeypatch.setattr(TimingEngine, "block_issue_cycles", counted_issue)
         sweep = PAPER_SWEEPS.get(name)
-        sizes = sweep.sizes if sweep else algorithm.default_sizes()
-        algorithm.observe_sweep(sizes)
+        run(algorithm, sweep.sizes if sweep else algorithm.default_sizes())
         assert counts["executed"] == counts["representatives"]
+        assert counts["timed"] == counts["representatives"]
+        return counts
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_BLOCKS))
+    def test_observe_sweep_executes_one_block_per_class(self, name,
+                                                         monkeypatch):
+        counts = self._counts(
+            monkeypatch, name,
+            lambda algorithm, sizes: algorithm.observe_sweep(sizes),
+        )
         assert counts["executed"] == self.EXPECTED_BLOCKS[name]
+        assert counts["timed"] == self.EXPECTED_BLOCKS[name]
+
+    @pytest.mark.parametrize("schedule, run", [
+        ("streamed", lambda algorithm, sizes: algorithm.observe_streamed_sweep(
+            sizes, chunks=4
+        )),
+        ("sharded", lambda algorithm, sizes: algorithm.observe_sharded_sweep(
+            sizes, devices=4
+        )),
+    ], ids=["streamed", "sharded"])
+    def test_schedules_trace_and_time_one_block_per_class(
+        self, schedule, run, monkeypatch
+    ):
+        counts = self._counts(monkeypatch, "reduction", run)
+        assert counts["executed"] == self.EXPECTED_SCHEDULE_BLOCKS[schedule]
+        assert counts["timed"] == self.EXPECTED_SCHEDULE_BLOCKS[schedule]
 
 
 class TestProbeDevice:
@@ -279,14 +322,21 @@ class TestProbeDevice:
         assert kinds.count("ProbeSync") == 1
 
 
-class TestMergeableGroups:
-    def _twin_preset(self, name="gtx650-parity-twin"):
+@pytest.fixture
+def twin_preset(monkeypatch):
+    """Registers gtx650's machine under another name for one test."""
+
+    def register(name):
         preset = replace(get_preset("gtx650"), name=name)
-        register_preset(preset, overwrite=True)
+        monkeypatch.setitem(PRESETS, name, preset)
         return preset
 
-    def test_same_machine_presets_merge(self):
-        self._twin_preset()
+    return register
+
+
+class TestMergeableGroups:
+    def test_same_machine_presets_merge(self, twin_preset):
+        twin_preset("gtx650-parity-twin")
         a = ExperimentSpec("vector_addition", sizes=[64], preset="gtx650")
         b = ExperimentSpec(
             "vector_addition", sizes=[128], preset="gtx650-parity-twin"
@@ -313,10 +363,10 @@ class TestMergeableGroups:
         with pytest.raises(ValueError, match="mergeable"):
             predict_group([a, b])
 
-    def test_union_batch_scatter_parity(self):
+    def test_union_batch_scatter_parity(self, twin_preset):
         # A merged group's scattered predictions equal isolated evaluation
         # bit for bit, preset names notwithstanding.
-        self._twin_preset()
+        twin_preset("gtx650-parity-twin")
         a = ExperimentSpec("vector_addition", sizes=[64, 128], preset="gtx650")
         b = ExperimentSpec(
             "vector_addition", sizes=[128, 256], preset="gtx650-parity-twin"
@@ -337,21 +387,19 @@ class TestRequestQueueMerging:
         queue.put(request)
         return request
 
-    def _twin_spec(self):
-        register_preset(
-            replace(get_preset("gtx650"), name="gtx650-queue-twin"),
-            overwrite=True,
-        )
+    @pytest.fixture
+    def twin_spec(self, twin_preset):
+        twin_preset("gtx650-queue-twin")
         return ExperimentSpec(
             "vector_addition", sizes=[128], preset="gtx650-queue-twin"
         )
 
-    def test_take_merges_mergeable_keys(self):
+    def test_take_merges_mergeable_keys(self, twin_spec):
         queue = RequestQueue()
         first = self._put(
             queue, ExperimentSpec("vector_addition", sizes=[64])
         )
-        rider = self._put(queue, self._twin_spec())
+        rider = self._put(queue, twin_spec)
         other = self._put(queue, ExperimentSpec("reduction", sizes=[64]))
         group = queue.take(FIFOPolicy())
         assert {r.request_id for r in group.requests} == {
@@ -361,9 +409,9 @@ class TestRequestQueueMerging:
         leftover = queue.take(FIFOPolicy())
         assert leftover.requests == (other,)
 
-    def test_take_keeps_modes_apart(self):
+    def test_take_keeps_modes_apart(self, twin_spec):
         queue = RequestQueue()
         self._put(queue, ExperimentSpec("vector_addition", sizes=[64]))
-        self._put(queue, self._twin_spec(), mode="result")
+        self._put(queue, twin_spec, mode="result")
         group = queue.take(FIFOPolicy())
         assert len(group.requests) == 1

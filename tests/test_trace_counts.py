@@ -1,12 +1,14 @@
-"""Oracles for the simulator's per-access counts and per-block totals.
+"""Oracles for the simulator's per-access counts, per-block and launch totals.
 
 ``GPUDevice`` (the oracle of the batched probe) and ``ProbeDevice`` share
-``coalesced_transactions``, ``bank_conflict_degree`` and ``BlockTrace``'s
-running totals, so no parity test between the two paths can catch an error
-in them.  Each is checked here against a brute-force definition on
-generated inputs: warps of 0-64 lanes with duplicates, strides and large
-addresses, and record sequences read part way through.  The examples are
-derandomized, so tier-1 runs the same profile every time.
+``coalesced_transactions``, ``bank_conflict_degree``, ``BlockTrace``'s
+running totals and ``TimingEngine.launch_totals``, so no parity test
+between the two paths can catch an error in them.  Each is checked here
+against a brute-force definition on generated inputs: warps of 0-64 lanes
+with duplicates, strides and large addresses, record sequences read part
+way through, and launches of block classes whose per-block values are not
+binary fractions, so the order of every float sum shows in its last bits.
+The examples are derandomized, so tier-1 runs the same profile every time.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.simulator.config import DeviceConfig
 from repro.simulator.errors import InvalidAccessError
 from repro.simulator.memory import bank_conflict_degree, coalesced_transactions
+from repro.simulator.timing import TimingEngine
 from repro.simulator.trace import BlockTrace, InstructionKind, InstructionRecord
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None)
@@ -164,3 +168,103 @@ class TestBlockTraceTotals:
     def test_constructor_records_are_tallied(self, records):
         trace = BlockTrace(block_index=0, records=list(records))
         assert totals(trace) == totals_by_definition(records)
+
+
+#: gtx650's per-block cycles are binary fractions for binary-fraction
+#: counts; tesla_k40 exposes 500/6 cycles of latency per transaction.
+DEVICES = {
+    "gtx650": DeviceConfig.gtx650(),
+    "tesla_k40": DeviceConfig.tesla_k40(),
+}
+
+#: Records whose compute operations are sevenths, so a block's issue
+#: cycles and operation count are not binary fractions either.
+SEVENTHS = st.builds(
+    InstructionRecord,
+    kind=st.sampled_from(list(InstructionKind)),
+    operations=st.integers(0, 256).map(lambda sevenths: sevenths / 7),
+    transactions=st.integers(0, 40),
+    words=st.integers(0, 64),
+    conflict_degree=st.integers(1, 32),
+)
+
+#: A launch: block classes in block order, each a representative block's
+#: records, its shared-memory words and the length of its run of blocks.
+LAUNCHES = st.lists(
+    st.tuples(
+        st.lists(SEVENTHS, max_size=12),
+        st.integers(0, 96),
+        st.integers(1, 200),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def launch_totals_by_loop(engine, pairs, functional: bool) -> tuple:
+    """Counters and cycle totals of a launch, added one by one.
+
+    A functional launch adds each block's values in block order; a sampled
+    one adds each class's value times its count.
+    """
+    totals = [0.0] * 7
+    num_blocks = bank_conflict_blocks = max_shared_words = 0
+    for trace, count in pairs:
+        values = (
+            engine.block_issue_cycles(trace),
+            engine.block_latency_cycles(trace),
+            trace.compute_operations,
+            trace.shared_accesses,
+            trace.global_transactions,
+            trace.global_words,
+            trace.barriers,
+        )
+        for index, value in enumerate(values):
+            if functional:
+                for _ in range(count):
+                    totals[index] += value
+            else:
+                totals[index] += value * count
+        num_blocks += count
+        if trace.has_bank_conflicts:
+            bank_conflict_blocks += count
+        max_shared_words = max(max_shared_words, trace.shared_words_used)
+    issue, latency, *counters = totals
+    return (
+        counters, num_blocks, bank_conflict_blocks, max_shared_words,
+        issue, latency,
+    )
+
+
+class TestLaunchTotals:
+    @PROFILE
+    @given(st.sampled_from(sorted(DEVICES)), LAUNCHES, st.booleans())
+    def test_launch_totals_equal_a_plain_loop(self, device, classes,
+                                              functional):
+        engine = TimingEngine(DEVICES[device])
+        pairs = [
+            (BlockTrace(index, list(records), shared_words_used=shared), count)
+            for index, (records, shared, count) in enumerate(classes)
+        ]
+        counters, issue, latency = engine.launch_totals(
+            "kernel", pairs, functional
+        )
+        assert counters.kernel_name == "kernel"
+        assert (
+            [
+                counters.compute_operations,
+                counters.shared_accesses,
+                counters.global_transactions,
+                counters.global_words,
+                counters.barriers,
+            ],
+            counters.num_blocks,
+            counters.bank_conflict_blocks,
+            counters.max_shared_words_per_block,
+            issue,
+            latency,
+        ) == launch_totals_by_loop(engine, pairs, functional)
+
+    def test_empty_launch_rejected(self):
+        with pytest.raises(ValueError):
+            TimingEngine(DEVICES["gtx650"]).launch_totals("kernel", [], True)
