@@ -9,7 +9,10 @@ Run with::
 
     python examples/paper_evaluation.py            # reduced sweeps (fast)
     python examples/paper_evaluation.py --paper    # the paper's exact sweeps
-    python examples/paper_evaluation.py --process  # batch over a process pool
+    python examples/paper_evaluation.py --process  # simulate on a process pool
+
+With ``--process`` each spec's simulation runs in a pool worker, while the
+predictions are grouped and memoised in the session's own process.
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ The package is organised as:
   admission control.
 
 Quick start -- describe an experiment declaratively and run it through a
-session (results are cached by spec hash, batches can fan out over a
-process pool)::
+session (results are cached by spec hash; one spec and a batch take the
+same path, and the process engine runs each spec's simulation in a worker
+while predictions are grouped and memoised in the session)::
 
     from repro import ExperimentSpec, Session
 

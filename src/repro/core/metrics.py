@@ -257,6 +257,10 @@ class CapacityError(RuntimeError):
 # --------------------------------------------------------------------- #
 # Array-native metrics (whole-sweep description)
 # --------------------------------------------------------------------- #
+#: Largest input size a sweep may name: sizes become int64 columns.
+MAX_SIZE = int(np.iinfo(np.int64).max)
+
+
 def validate_sizes(ns: Sequence[int], name: str = "n") -> Tuple[int, ...]:
     """Validate a sweep's input sizes and return them as a tuple of ints.
 
@@ -264,15 +268,21 @@ def validate_sizes(ns: Sequence[int], name: str = "n") -> Tuple[int, ...]:
     batched simulator and, through :func:`size_vector`, the array-native
     metrics factories) routes its sizes through this, so each size follows
     ``ensure_positive_int``: NumPy integers pass as ``int``; floats,
-    strings and bools raise :class:`TypeError`; non-positive sizes raise
-    :class:`ValueError`, as does an empty sweep.  A sweep of positive
-    exact ``int`` values is returned as is, without per-size calls.
+    strings and bools raise :class:`TypeError`; non-positive sizes and
+    sizes above :data:`MAX_SIZE` raise :class:`ValueError`, as does an
+    empty sweep.  A sweep of in-range exact ``int`` values is returned as
+    is, without per-size calls.
     """
     sizes = tuple(ns)
     if not sizes:
         raise ValueError("a sweep needs at least one input size")
-    if not all(type(n) is int and n > 0 for n in sizes):
+    if not all(type(n) is int and 0 < n <= MAX_SIZE for n in sizes):
         sizes = tuple(ensure_positive_int(n, name) for n in sizes)
+        for n in sizes:
+            if n > MAX_SIZE:
+                raise ValueError(
+                    f"{name} must fit in int64 (at most {MAX_SIZE}), got {n}"
+                )
     return sizes
 
 

@@ -36,10 +36,9 @@ from repro.experiments.session import (
     ProcessPoolEngine,
     SerialEngine,
     Session,
-    execute_group,
-    execute_spec,
     execute_specs,
     mergeable,
+    observe_spec,
     plan_groups,
     predict_group,
     resolve_engine,
@@ -85,10 +84,9 @@ __all__ = [
     "ProcessPoolEngine",
     "SerialEngine",
     "Session",
-    "execute_group",
-    "execute_spec",
     "execute_specs",
     "mergeable",
+    "observe_spec",
     "plan_groups",
     "predict_group",
     "resolve_engine",

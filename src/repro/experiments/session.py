@@ -1,11 +1,15 @@
 """The Session façade: batched, cached execution of experiment specs.
 
 A :class:`Session` turns declarative :class:`~repro.experiments.spec.ExperimentSpec`
-objects into :class:`~repro.experiments.results.Result` objects through a
-pluggable execution engine:
+objects into :class:`~repro.experiments.results.Result` objects along one
+path, :func:`execute_specs`, whether it runs one spec or a batch.  The
+predictions of each group planned by :func:`plan_groups` come from
+:func:`predict_group` in the calling process, memoised in the session's
+:class:`BatchCache`; only the simulations (:func:`observe_spec`, where the
+time goes) are mapped by a pluggable execution engine:
 
-* :class:`SerialEngine` executes specs one after another in-process,
-* :class:`ProcessPoolEngine` fans a batch out over a
+* :class:`SerialEngine` simulates specs one after another in-process,
+* :class:`ProcessPoolEngine` simulates them across a
   :class:`concurrent.futures.ProcessPoolExecutor`.
 
 Every executed spec is cached under its
@@ -35,12 +39,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
+)
 
-from repro.algorithms.base import GPUAlgorithm
 from repro.algorithms.registry import create
 from repro.core.batch import MetricsBatch
-from repro.core.prediction import SweepPrediction, predict_sweep_batch
+from repro.core.prediction import (
+    SweepObservation, SweepPrediction, predict_sweep_batch,
+)
 from repro.experiments.results import Result, ResultSet
 from repro.experiments.spec import ExperimentSpec, paper_specs
 
@@ -95,6 +102,7 @@ class BatchCache:
     sweeps (different seeds, different device configurations) skip both the
     metrics compilation and the per-backend :class:`BatchBreakdown`
     evaluation.  ``hits`` / ``misses`` count lookups across both maps.
+    Only :func:`predict_group` fills it, in the process that owns it.
 
     The cache is thread-safe: serving-layer workers share one instance
     across threads.  A lookup racing a build may compile the same entry
@@ -144,48 +152,6 @@ class BatchCache:
         them as read-only.
         """
         return self._get(self._predictions, key, build)
-
-    def seed_prediction(self, key: tuple, prediction: SweepPrediction) -> None:
-        """Store an externally computed prediction without counting a lookup.
-
-        This is how process-pool results flow back into the parent-side
-        memo: the pool worker already paid for the evaluation, so the entry
-        is planted for later in-process lookups to hit.  An existing entry
-        is kept (evaluation is pure; the values are interchangeable).
-        """
-        with self._lock:
-            self._predictions.setdefault(key, prediction)
-
-
-def execute_spec(
-    spec: ExperimentSpec, algorithm: Optional[GPUAlgorithm] = None
-) -> Result:
-    """Execute one spec: predict, observe, and package the result.
-
-    This is the single execution path behind every engine (it is a
-    module-level function so process-pool workers can pickle it).
-    ``algorithm`` optionally supplies a pre-built instance — useful for
-    algorithm objects that are not in the registry.
-    """
-    if algorithm is None:
-        algorithm = create(spec.algorithm)
-    elif algorithm.name != spec.algorithm:
-        raise ValueError(
-            f"algorithm instance {algorithm.name!r} does not match the spec's "
-            f"{spec.algorithm!r}"
-        )
-    sizes = spec.resolved_sizes(algorithm)
-    preset = spec.resolved_preset()
-    resolved = spec.resolved_backends()
-    prediction = _rename_series(
-        algorithm.predict_sweep(sizes, preset=preset, backends=resolved),
-        spec.backends,
-        resolved,
-    )
-    observation = algorithm.observe_sweep(
-        sizes, config=spec.resolved_device_config(), seed=spec.seed
-    )
-    return Result.from_sweeps(spec, prediction, observation)
 
 
 def mergeable(spec: ExperimentSpec, other: ExperimentSpec) -> bool:
@@ -244,7 +210,6 @@ def plan_groups(specs: Sequence[ExperimentSpec]) -> List[List[int]]:
 def predict_group(
     specs: Sequence[ExperimentSpec],
     batch_cache: Optional[BatchCache] = None,
-    algorithm: Optional[GPUAlgorithm] = None,
 ) -> List[SweepPrediction]:
     """Coalesced predictions for a group of :func:`mergeable` specs.
 
@@ -277,8 +242,7 @@ def predict_group(
                 f"{first.topology_key()!r}) and ({spec.algorithm!r}, "
                 f"{spec.preset!r}, {spec.topology_key()!r})"
             )
-    if algorithm is None:
-        algorithm = create(first.algorithm)
+    algorithm = create(first.algorithm)
     preset_for = [spec.resolved_preset() for spec in specs]
     machine = preset_for[0].machine
     sizes_for = [spec.resolved_sizes(algorithm) for spec in specs]
@@ -288,8 +252,8 @@ def predict_group(
     batch: Optional[MetricsBatch] = None
 
     def union_batch() -> MetricsBatch:
-        # Compiled lazily: when every union prediction is already cached
-        # (or seeded from pool results), the batch is never needed.
+        # Compiled lazily: when every union prediction is already cached,
+        # the batch is never needed.
         nonlocal batch
         if batch is None:
             def compile_union() -> MetricsBatch:
@@ -343,107 +307,88 @@ def predict_group(
     return predictions
 
 
-def execute_group(
-    specs: Sequence[ExperimentSpec],
-    batch_cache: Optional[BatchCache] = None,
-    algorithm: Optional[GPUAlgorithm] = None,
-) -> List[Result]:
-    """Execute one group of :func:`mergeable` specs, coalesced.
+def observe_spec(spec: ExperimentSpec) -> SweepObservation:
+    """Simulate one spec's sweep: the observed side of its result.
 
-    Predictions come from :func:`predict_group` (one union compile, one
-    evaluation per distinct ``(preset, backends)`` cluster); observations
-    are simulated per spec as always.  Order is preserved.
+    The only step an engine maps, and a module-level function so process
+    workers can pickle it.  It reads no runtime registry (algorithms and
+    sweeps are static, and the device configuration travels in the spec),
+    so a worker simulates exactly what the calling process would.
     """
-    specs = list(specs)
-    if not specs:
-        return []
-    if algorithm is None:
-        algorithm = create(specs[0].algorithm)
-    predictions = predict_group(
-        specs, batch_cache=batch_cache, algorithm=algorithm
+    algorithm = create(spec.algorithm)
+    return algorithm.observe_sweep(
+        spec.resolved_sizes(algorithm),
+        config=spec.resolved_device_config(),
+        seed=spec.seed,
     )
-    results: List[Result] = []
-    for spec, prediction in zip(specs, predictions):
-        observation = algorithm.observe_sweep(
-            spec.resolved_sizes(algorithm),
-            config=spec.resolved_device_config(),
-            seed=spec.seed,
-        )
-        results.append(Result.from_sweeps(spec, prediction, observation))
-    return results
 
 
 def execute_specs(
     specs: Sequence[ExperimentSpec],
     batch_cache: Optional[BatchCache] = None,
+    mapper: Callable = map,
 ) -> List[Result]:
-    """Execute a batch of specs, sharing compiled metrics within groups.
+    """Execute a batch of specs: the one path from specs to results.
 
-    :func:`mergeable` specs — same algorithm and topology, presets
-    resolving to one abstract machine — coalesce into one
-    :func:`execute_group` call (grouping planned greedily by
-    :func:`plan_groups`): one :class:`MetricsBatch` compiled over the union
-    of the group's sweep sizes and one backend evaluation per distinct
-    ``(preset, backends)`` cluster serve every spec's prediction.
-    Compilation goes through the algorithm's array-native
-    :meth:`~repro.algorithms.base.GPUAlgorithm.metrics_batch` factory, and a
-    :class:`BatchCache` (when supplied) memoizes both the compiled batches
-    and the evaluated union predictions across calls.  Observations are
-    simulated per spec as before.  Order is preserved.
+    Predictions come from :func:`predict_group`, in the calling process,
+    once per group that :func:`plan_groups` plans: one
+    :class:`MetricsBatch` compiled over the union of the group's sweep
+    sizes and one backend evaluation per distinct ``(preset, backends)``
+    cluster serve every spec's prediction, memoised in ``batch_cache`` when
+    one is given.  The simulations go through ``mapper`` (the builtin
+    ``map``, or an engine's ``map``), which applies :func:`observe_spec`
+    to every spec in order.  Order is preserved.
     """
-    results: List[Optional[Result]] = [None] * len(specs)
+    specs = list(specs)
+    predictions: List[Optional[SweepPrediction]] = [None] * len(specs)
     for indices in plan_groups(specs):
-        group_results = execute_group(
+        group = predict_group(
             [specs[index] for index in indices], batch_cache=batch_cache
         )
-        for index, result in zip(indices, group_results):
-            results[index] = result
-    return [result for result in results if result is not None]
+        for index, prediction in zip(indices, group):
+            predictions[index] = prediction
+    return [
+        Result.from_sweeps(spec, prediction, observation)
+        for spec, prediction, observation in zip(
+            specs, predictions, mapper(observe_spec, specs)
+        )
+    ]
 
 
 class ExecutionEngine(Protocol):
-    """What a session requires of an execution engine."""
+    """What a session requires of an execution engine.
+
+    The shape of :meth:`concurrent.futures.Executor.map`; an engine may
+    also provide ``close()``, which :meth:`Session.close` calls.
+    """
 
     name: str
 
-    def map(self, specs: Sequence[ExperimentSpec]) -> List[Result]:
-        """Execute every spec, preserving order."""
+    def map(self, fn: Callable, specs: Sequence[ExperimentSpec]) -> Iterable:
+        """Apply ``fn`` to every spec, preserving order."""
         ...
 
 
 class SerialEngine:
-    """Execute specs one after another in the current process.
-
-    Batches route through :func:`execute_specs`, so specs sharing an
-    ``(algorithm, preset)`` pair also share one compiled
-    :class:`~repro.core.batch.MetricsBatch` for their predictions.  A
-    :class:`Session` additionally passes its :class:`BatchCache` through
-    :meth:`map_with_cache`, carrying those compiled batches and evaluated
-    predictions across calls.
-    """
+    """Simulate specs one after another in the current process."""
 
     name = "serial"
 
-    def map(self, specs: Sequence[ExperimentSpec]) -> List[Result]:
-        return execute_specs(specs)
-
-    def map_with_cache(
-        self, specs: Sequence[ExperimentSpec], batch_cache: BatchCache
-    ) -> List[Result]:
-        """Like :meth:`map`, memoizing batches/predictions in ``batch_cache``."""
-        return execute_specs(specs, batch_cache=batch_cache)
+    def map(self, fn: Callable, specs: Sequence[ExperimentSpec]) -> Iterable:
+        return map(fn, specs)
 
 
 class ProcessPoolEngine:
-    """Execute a batch of specs across a pool of worker processes.
+    """Simulate a batch of specs across a pool of worker processes.
 
-    Falls back to in-process execution for batches of one (a pool buys
-    nothing there).  ``max_workers`` defaults to the CPU count.  The pool is
-    created lazily on the first multi-spec batch and **reused across
-    batches** — spawning workers costs tens of milliseconds per process, so
-    a per-batch pool would dominate short sweeps.  Call :meth:`close` (or
-    use the owning :class:`Session` as a context manager) to shut the
-    workers down.
+    Only the simulations run in the workers: a session's predictions stay
+    in its own process, grouped and memoised (:func:`execute_specs`).  A
+    batch of one runs in-process (a pool buys nothing there).
+    ``max_workers`` defaults to the CPU count.  The pool is created lazily
+    on the first multi-spec batch and **reused across batches** — spawning
+    workers costs tens of milliseconds per process, so a per-batch pool
+    would dominate short sweeps.  Call :meth:`close` (or use the owning
+    :class:`Session` as a context manager) to shut the workers down.
 
     A batch that dies with :class:`BrokenProcessPool` (a worker crashed or
     was killed) is retried **once** on a fresh pool; if that retry breaks
@@ -451,21 +396,10 @@ class ProcessPoolEngine:
     spec instead of surfacing the raw executor crash.
 
     .. note::
-        Specs naming backends or presets registered at runtime (via
-        :func:`repro.core.backends.register_backend` /
-        :func:`repro.core.presets.register_preset`) resolve in workers under
-        the ``fork`` start method (the Linux default), which inherits the
-        parent's registries.  Under ``spawn`` (macOS / Windows default)
-        workers re-import the package and only see the built-ins — register
-        custom entries at import time of a module the workers load, or use
-        the serial engine for such specs.  A reused pool additionally
-        snapshots the registries as of its first batch under ``fork``.
-
-        Worker processes cannot *read* the session's in-process
-        :class:`BatchCache`, but their results flow back through it:
-        :meth:`map_with_cache` seeds the parent-side memo with each
-        returned prediction, so later in-process evaluations of the same
-        sweeps (serial batches, the serving layer) hit without recompiling.
+        Simulation reads no runtime registry, so specs naming backends or
+        presets registered at run time work under the ``fork`` and the
+        ``spawn`` start method alike: the workers never resolve them.
+        ``fn`` must be picklable (a module-level function).
     """
 
     name = "process"
@@ -493,32 +427,31 @@ class ProcessPoolEngine:
                 )
             return self._pool
 
-    def map(self, specs: Sequence[ExperimentSpec]) -> List[Result]:
+    def map(self, fn: Callable, specs: Sequence[ExperimentSpec]) -> List:
+        specs = list(specs)
         if len(specs) <= 1:
-            return [execute_spec(spec) for spec in specs]
+            return [fn(spec) for spec in specs]
         try:
-            return list(self._ensure_pool().map(execute_spec, specs))
+            return list(self._ensure_pool().map(fn, specs))
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; drop it and retry
             # the batch once on a healthy pool (the old per-batch pool
             # recovered implicitly).
             self.close()
-            return self._retry_once(specs)
+            return self._retry_once(fn, specs)
 
-    def _retry_once(self, specs: Sequence[ExperimentSpec]) -> List[Result]:
+    def _retry_once(self, fn: Callable, specs: List[ExperimentSpec]) -> List:
         """Re-run a broken batch on a fresh pool, spec by spec.
 
         Per-spec futures make the second failure attributable: the first
         future to die names the spec that was in flight when the worker
         crashed, and the raised :class:`EngineError` carries it.
         """
-        futures = [
-            self._ensure_pool().submit(execute_spec, spec) for spec in specs
-        ]
-        results: List[Result] = []
+        futures = [self._ensure_pool().submit(fn, spec) for spec in specs]
+        outputs = []
         for spec, future in zip(specs, futures):
             try:
-                results.append(future.result())
+                outputs.append(future.result())
             except BrokenProcessPool as exc:
                 self.close()
                 raise EngineError(
@@ -527,29 +460,7 @@ class ProcessPoolEngine:
                     f"(spec {spec.spec_hash()})",
                     spec=spec,
                 ) from exc
-        return results
-
-    def map_with_cache(
-        self, specs: Sequence[ExperimentSpec], batch_cache: BatchCache
-    ) -> List[Result]:
-        """Like :meth:`map`, seeding ``batch_cache`` from the pool's results.
-
-        Workers cannot share the parent's memo, but each result carries the
-        prediction its worker evaluated; planting those under the same keys
-        :func:`predict_group` looks up closes the loop — a later in-process
-        pass over the same ``(algorithm, preset, sizes, backends)`` is
-        served from the memo without compiling or evaluating anything.
-        """
-        results = self.map(specs)
-        for spec, result in zip(specs, results):
-            batch_cache.seed_prediction(
-                (
-                    spec.algorithm, spec.preset, tuple(result.sizes),
-                    spec.resolved_backends(), spec.topology_key(),
-                ),
-                result.comparison().prediction,
-            )
-        return results
+        return outputs
 
     def close(self) -> None:
         """Shut down the worker pool (a later batch re-creates it)."""
@@ -589,11 +500,15 @@ def resolve_engine(engine: Union[str, ExecutionEngine]) -> ExecutionEngine:
 class Session:
     """Executes experiment specs with transparent caching and batching.
 
+    :meth:`run` is :meth:`run_many` of a batch of one, and every spec the
+    caches cannot answer goes through :func:`execute_specs`: predictions
+    grouped and memoised here, simulations mapped by the engine.
+
     Parameters
     ----------
     engine:
         An engine name (``"serial"`` or ``"process"``) or any object
-        satisfying :class:`ExecutionEngine`.
+        satisfying :class:`ExecutionEngine`; it runs the simulations.
     cache_dir:
         Optional directory for the on-disk JSON result store (one
         ``<spec_hash>.json`` file per result).  Results found there survive
@@ -620,8 +535,7 @@ class Session:
         self.cache_hits = 0
         self.cache_misses = 0
         self._lock = threading.RLock()
-        #: Memoized compiled metrics batches and per-backend predictions,
-        #: shared with engines that support ``map_with_cache``.
+        #: Memoized compiled metrics batches and per-backend predictions.
         self.batch_cache = BatchCache()
 
     # ------------------------------------------------------------------ #
@@ -726,39 +640,21 @@ class Session:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        spec: ExperimentSpec,
-        use_cache: bool = True,
-        algorithm: Optional[GPUAlgorithm] = None,
-    ) -> Result:
-        """Execute one spec (serially), serving repeats from the cache.
+    def run(self, spec: ExperimentSpec, use_cache: bool = True) -> Result:
+        """Execute one spec: :meth:`run_many` of a batch of one.
 
-        With ``use_cache=False`` the spec executes unconditionally, nothing
-        is stored, and the hit/miss counters are left untouched (matching
-        :meth:`run_many`).
+        It serves repeats from the result cache and reads and fills the
+        batch memo exactly as :meth:`run_many` does.
         """
-        if not use_cache:
-            return execute_spec(spec, algorithm=algorithm)
-        key = spec.spec_hash()
-        cached = self.lookup(spec, key=key)
-        if cached is not None:
-            with self._lock:
-                self.cache_hits += 1
-            return cached
-        with self._lock:
-            self.cache_misses += 1
-        result = execute_spec(spec, algorithm=algorithm)
-        self._store(spec, result, key=key)
-        return result
+        return self.run_many([spec], use_cache=use_cache)[0]
 
     def run_many(
         self, specs: Sequence[ExperimentSpec], use_cache: bool = True
     ) -> ResultSet:
-        """Execute a batch of specs through the engine, preserving order.
+        """Execute a batch of specs through :func:`execute_specs`, in order.
 
-        Cached specs are answered immediately; only the misses go to the
-        engine.  Duplicate specs within one batch are executed once: the
+        Cached specs are answered immediately; only the misses are
+        executed.  Duplicate specs within one batch are executed once: the
         first occurrence counts as a miss, the repeats as hits (they are
         served from that one execution), so ``cache_misses`` always equals
         the number of actual executions.
@@ -769,7 +665,9 @@ class Session:
         """
         specs = list(specs)
         if not use_cache:
-            return ResultSet(results=self.engine.map(specs))
+            return ResultSet(
+                results=execute_specs(specs, mapper=self.engine.map)
+            )
         slots: List[Optional[Result]] = [None] * len(specs)
         pending: Dict[str, List[int]] = {}
         for index, spec in enumerate(specs):
@@ -787,12 +685,11 @@ class Session:
                         self.cache_misses += 1
                 pending.setdefault(key, []).append(index)
         if pending:
-            to_run = [specs[indices[0]] for indices in pending.values()]
-            mapper = getattr(self.engine, "map_with_cache", None)
-            if callable(mapper):
-                fresh = mapper(to_run, self.batch_cache)
-            else:
-                fresh = self.engine.map(to_run)
+            fresh = execute_specs(
+                [specs[indices[0]] for indices in pending.values()],
+                self.batch_cache,
+                self.engine.map,
+            )
             for key, result, indices in zip(
                 pending, fresh, pending.values()
             ):

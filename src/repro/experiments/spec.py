@@ -20,6 +20,11 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.algorithms.registry import (
+    ALL_ALGORITHMS,
+    create,
+    paper_algorithm_names,
+)
 from repro.core.backends import (
     DEFAULT_BACKENDS,
     TOPOLOGY_BACKEND,
@@ -29,7 +34,10 @@ from repro.core.metrics import validate_sizes
 from repro.core.presets import DEFAULT_PRESET, GPUPreset, get_preset
 from repro.core.topology import Topology
 from repro.simulator.config import DeviceConfig
-from repro.utils.validation import reject_unknown_fields
+from repro.utils.validation import (
+    ensure_non_negative_int,
+    reject_unknown_fields,
+)
 from repro.workloads.sweeps import sweep_for
 
 #: The scales a spec may name instead of explicit sizes.
@@ -39,6 +47,11 @@ SCALES: Tuple[str, ...] = ("paper", "small")
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment, fully described and hashable.
+
+    Every field is checked where the spec is built, raising
+    :class:`TypeError` or :class:`ValueError`; only preset and backend names
+    are looked up later, at resolution, because both registries grow at
+    run time.
 
     Parameters
     ----------
@@ -55,10 +68,11 @@ class ExperimentSpec:
         Name of the GPU preset driving the prediction (see
         :func:`repro.core.presets.get_preset`).
     device_config:
-        Simulator configuration for the observation side; defaults to the
-        GTX-650-like device matching the default preset.
+        Simulator configuration for the observation side (a plain mapping
+        is coerced); defaults to the GTX-650-like device matching the
+        default preset.
     seed:
-        Seed for the workload generators.
+        Seed for the workload generators, a non-negative integer.
     backends:
         Names of the cost-model backends to evaluate
         (:mod:`repro.core.backends`).  The placeholder name
@@ -81,8 +95,17 @@ class ExperimentSpec:
     topology: Optional[Topology] = None
 
     def __post_init__(self) -> None:
-        if not self.algorithm:
-            raise ValueError("an experiment spec needs an algorithm name")
+        if not isinstance(self.algorithm, str):
+            raise TypeError(
+                "algorithm must be a registered algorithm name, got "
+                f"{type(self.algorithm).__name__}"
+            )
+        if self.algorithm not in ALL_ALGORITHMS:
+            known = ", ".join(sorted(ALL_ALGORITHMS))
+            raise ValueError(
+                f"unknown algorithm {self.algorithm!r}; known algorithms: "
+                f"{known}"
+            )
         if self.scale not in SCALES:
             raise ValueError(
                 f"scale must be one of {', '.join(SCALES)}; got {self.scale!r}"
@@ -91,23 +114,42 @@ class ExperimentSpec:
             object.__setattr__(
                 self, "sizes", validate_sizes(self.sizes, "sizes")
             )
-        backends = tuple(str(name) for name in self.backends)
+        if not isinstance(self.preset, str):
+            raise TypeError(
+                f"preset must be a preset name, got {type(self.preset).__name__}"
+            )
+        if not self.preset:
+            raise ValueError("an experiment spec needs a preset name")
+        if isinstance(self.backends, str):
+            raise TypeError(
+                "backends must be a sequence of backend names, not the bare "
+                f"string {self.backends!r}"
+            )
+        backends = tuple(self.backends)
+        for name in backends:
+            if not isinstance(name, str):
+                raise TypeError(
+                    "backend names must be strings, got "
+                    f"{type(name).__name__} {name!r}"
+                )
         if not backends:
             raise ValueError("an experiment spec needs at least one backend")
         object.__setattr__(self, "backends", backends)
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.topology is not None and not isinstance(
-            self.topology, Topology
+        object.__setattr__(
+            self, "seed", ensure_non_negative_int(self.seed, "seed")
+        )
+        for attr, kind in (
+            ("device_config", DeviceConfig), ("topology", Topology)
         ):
-            if isinstance(self.topology, Mapping):
-                object.__setattr__(
-                    self, "topology", Topology.from_dict(self.topology)
-                )
-            else:
+            value = getattr(self, attr)
+            if value is None or isinstance(value, kind):
+                continue
+            if not isinstance(value, Mapping):
                 raise TypeError(
-                    "topology must be a Topology (or its to_dict mapping), "
-                    f"got {type(self.topology).__name__}"
+                    f"{attr} must be a {kind.__name__} (or its to_dict "
+                    f"mapping), got {type(value).__name__}"
                 )
+            object.__setattr__(self, attr, kind.from_dict(value))
         if TOPOLOGY_BACKEND in self.backends and self.topology is None:
             raise ValueError(
                 f"the {TOPOLOGY_BACKEND!r} backend placeholder requires the "
@@ -122,8 +164,7 @@ class ExperimentSpec:
 
         ``algorithm`` optionally supplies an already-constructed
         :class:`~repro.algorithms.base.GPUAlgorithm` instance for the
-        default-sizes fallback (avoids a registry lookup, and supports
-        unregistered algorithm objects).
+        default-sizes fallback (avoids building a second one).
         """
         if self.sizes is not None:
             return list(self.sizes)
@@ -132,8 +173,6 @@ class ExperimentSpec:
         except KeyError:
             pass
         if algorithm is None:
-            from repro.algorithms.registry import create
-
             algorithm = create(self.algorithm)
         sizes = list(algorithm.default_sizes())
         if self.scale == "small":
@@ -215,20 +254,7 @@ class ExperimentSpec:
         reject_unknown_fields(
             "ExperimentSpec", data, (f.name for f in fields(cls))
         )
-        payload = dict(data)
-        device = payload.get("device_config")
-        if device is not None and not isinstance(device, DeviceConfig):
-            payload["device_config"] = DeviceConfig.from_dict(device)
-        sizes = payload.get("sizes")
-        if sizes is not None:
-            payload["sizes"] = tuple(sizes)
-        backends = payload.get("backends")
-        if backends is not None:
-            payload["backends"] = tuple(backends)
-        topology = payload.get("topology")
-        if topology is not None and not isinstance(topology, Topology):
-            payload["topology"] = Topology.from_dict(topology)
-        return cls(**payload)
+        return cls(**dict(data))
 
     def to_json(self) -> str:
         """The spec as canonical (sorted-key) JSON."""
@@ -266,8 +292,6 @@ def paper_specs(
     backends: Sequence[str] = DEFAULT_BACKENDS,
 ) -> List[ExperimentSpec]:
     """Specs for the three experiments of Section IV, in the paper's order."""
-    from repro.algorithms.registry import paper_algorithm_names
-
     return [
         ExperimentSpec(
             algorithm=name,

@@ -255,17 +255,8 @@ class PredictionServer:
         if not live:
             return
         self._stats.record_dispatch(group.key, len(live))
-        mode = group.key[2]
         try:
-            if mode == "predict":
-                outputs: Sequence = predict_group(
-                    [r.spec for r in live],
-                    batch_cache=self.session.batch_cache,
-                )
-            else:
-                outputs = list(
-                    self.session.run_many([r.spec for r in live])
-                )
+            outputs = self._outputs(group.key[2], [r.spec for r in live])
         except Exception:
             # A group-level failure must not take down every caller that
             # happened to coalesce with the offender: retry each request
@@ -277,16 +268,17 @@ class PredictionServer:
             request.future.set_result(output)
             self._stats.record_completed(done - request.submitted_at)
 
+    def _outputs(self, mode: str, specs: List[ExperimentSpec]) -> Sequence:
+        """A group's outputs in order: predictions, or session results."""
+        if mode == "predict":
+            return predict_group(specs, batch_cache=self.session.batch_cache)
+        return list(self.session.run_many(specs))
+
     def _dispatch_isolated(self, requests: Sequence[PredictionRequest]) -> None:
+        """Serve each request as a group of one, through :meth:`_outputs`."""
         for request in requests:
             try:
-                if request.mode == "predict":
-                    output = predict_group(
-                        [request.spec],
-                        batch_cache=self.session.batch_cache,
-                    )[0]
-                else:
-                    output = self.session.run(request.spec)
+                output = self._outputs(request.mode, [request.spec])[0]
             except Exception as exc:  # noqa: BLE001 - forwarded to caller
                 request.future.set_exception(exc)
                 self._stats.record_failed()

@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.transfer import TransferDirection
 from repro.simulator.timing import KernelTiming
 from repro.simulator.transfer_engine import TransferRecord
+from repro.utils.numerics import ordered_sum
 
 
 class StreamOpKind(enum.Enum):
@@ -268,7 +269,7 @@ class StreamTimeline:
     @property
     def serial_time_s(self) -> float:
         """What the same operations would cost back to back (no overlap)."""
-        return sum(op.duration_s for op in self._ops)
+        return ordered_sum(op.duration_s for op in self._ops)
 
     @property
     def overlap_saving_s(self) -> float:
@@ -277,7 +278,9 @@ class StreamTimeline:
 
     def busy_time_s(self, engine: str) -> float:
         """Total busy seconds of one engine (``h2d``/``compute``/``d2h``/...)."""
-        return sum(op.duration_s for op in self._ops if op.engine == engine)
+        return ordered_sum(
+            op.duration_s for op in self._ops if op.engine == engine
+        )
 
     def engine_busy_times(self) -> Dict[str, float]:
         """Busy seconds per engine, for every engine that ran something."""

@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.utils.numerics import ordered_sum
+
 
 class InstructionKind(enum.Enum):
     """Warp-level instruction categories recognised by the timing engine."""
@@ -222,8 +224,8 @@ class Timeline:
 
     def total_time(self, kind: Optional[EventKind] = None) -> float:
         """Sum of event durations, optionally restricted to one kind."""
-        return sum(e.duration_s for e in self._events
-                   if kind is None or e.kind is kind)
+        return ordered_sum(e.duration_s for e in self._events
+                           if kind is None or e.kind is kind)
 
     def kernel_time(self) -> float:
         """Total time spent in kernel execution."""

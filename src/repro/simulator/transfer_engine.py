@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.transfer import TransferDirection
 from repro.simulator.config import WORD_BYTES, DeviceConfig
+from repro.utils.numerics import ordered_sum
 from repro.utils.validation import ensure_non_negative
 
 
@@ -170,7 +171,7 @@ class TransferEngine:
     # ------------------------------------------------------------------ #
     def total_time(self) -> float:
         """Total seconds spent transferring (both directions)."""
-        return sum(r.duration_s for r in self.records)
+        return ordered_sum(r.duration_s for r in self.records)
 
     def total_words(self, direction: TransferDirection = None) -> int:
         """Total words moved, optionally restricted to one direction."""

@@ -9,8 +9,9 @@ model, the simulator and the experiment harness:
   bytes for a given clock rate / word size.
 * :mod:`repro.utils.stats` -- series normalisation, relative errors and the
   "capture fraction" statistics reported in Section IV-D of the paper.
-* :mod:`repro.utils.numerics` -- the blessed numeric idioms (``ceil_div``)
-  that keep the scalar and vectorized cost paths bitwise identical.
+* :mod:`repro.utils.numerics` -- the blessed numeric idioms (``ceil_div``,
+  ``ordered_sum``) that keep the scalar and vectorized paths bitwise
+  identical.
 """
 
 from repro.utils.numerics import ceil_div

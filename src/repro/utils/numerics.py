@@ -13,16 +13,20 @@ checker (:mod:`repro.lint`, rule ``CEIL001``) flags any direct
 ``math.ceil(x / y)`` / ``np.ceil(x / y)`` / ``-(-x // y)`` in metrics and
 cost code outside this module, so the float-division contract cannot drift
 call site by call site.
+
+:func:`ordered_sum` is the one spelling of a float total that must equal
+an array replay's: the builtin ``sum`` of floats is compensated from
+Python 3.12, while the batched simulator adds in order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
-__all__ = ["ceil_div"]
+__all__ = ["ceil_div", "ordered_sum"]
 
 #: Operand types :func:`ceil_div` accepts on either side.
 Number = Union[int, float, np.ndarray]
@@ -46,3 +50,16 @@ def ceil_div(numerator: Number, denominator: Number) -> Number:
     if isinstance(numerator, np.ndarray) or isinstance(denominator, np.ndarray):
         return np.ceil(numerator / denominator)
     return math.ceil(numerator / denominator)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right from ``0.0``, rounding after each add.
+
+    The order ``np.add.accumulate`` and the simulator's array replays use,
+    on every interpreter (the builtin ``sum`` of floats is compensated from
+    Python 3.12, so it can differ from them in the last bit).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total

@@ -250,10 +250,11 @@ class TestLifecycleAndErrors:
         server.close()
 
     def test_failing_spec_only_fails_its_own_future(self):
-        # An unknown algorithm fails at dispatch; the good request that
-        # coalesced into the same batch round must still be answered.
+        # An unknown backend fails at dispatch (backend names resolve
+        # late); the good request that coalesced into the same group must
+        # still be answered.
         good = tiny_spec()
-        bad = ExperimentSpec(algorithm="not_an_algorithm", sizes=TINY_SIZES)
+        bad = tiny_spec(backends=("atgpu", "not_a_backend"))
         server = PredictionServer(workers=1)
         good_future = server.submit(good)
         bad_future = server.submit(bad)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.algorithms.registry import ALL_ALGORITHMS, create
 from repro.core.backends import (
     DEFAULT_BACKENDS,
     backend_label,
@@ -17,6 +20,7 @@ from repro.core.backends import (
     register_backend,
     unregister_backend,
 )
+from repro.core.metrics import CapacityError
 from repro.core.prediction import (
     POSITIVE_TOTALS_MESSAGE,
     PredictionComparison,
@@ -24,6 +28,7 @@ from repro.core.prediction import (
     SweepPrediction,
 )
 from repro.core.presets import GTX_650
+from repro.core.topology import Topology
 from repro.experiments import (
     ExperimentSpec,
     ProcessPoolEngine,
@@ -31,8 +36,7 @@ from repro.experiments import (
     ResultSet,
     Session,
     all_figures,
-    execute_spec,
-    execute_specs,
+    observe_spec,
     paper_specs,
 )
 from repro.simulator.config import DeviceConfig
@@ -44,6 +48,32 @@ TINY_SIZES = (1_000, 4_000)
 def tiny_spec(algorithm="vector_addition", **kwargs) -> ExperimentSpec:
     kwargs.setdefault("sizes", TINY_SIZES)
     return ExperimentSpec(algorithm=algorithm, **kwargs)
+
+
+def oracle(spec: ExperimentSpec) -> Result:
+    """The spec's result from the public algorithm API alone: one
+    ``predict_sweep`` and one ``observe_sweep``, no grouping, no memo."""
+    algorithm = create(spec.algorithm)
+    sizes = spec.resolved_sizes()
+    prediction = algorithm.predict_sweep(
+        sizes, preset=spec.resolved_preset(), backends=spec.backends
+    )
+    observation = algorithm.observe_sweep(
+        sizes, config=spec.resolved_device_config(), seed=spec.seed
+    )
+    return Result.from_sweeps(spec, prediction, observation)
+
+
+def assert_same_result(result: Result, expected: Result) -> None:
+    """Every stored field equal, bit for bit."""
+    assert result.spec == expected.spec
+    assert result.sizes == expected.sizes
+    assert result.predicted == expected.predicted
+    assert result.predicted_transfer_proportions == \
+        expected.predicted_transfer_proportions
+    assert result.observed_totals == expected.observed_totals
+    assert result.observed_kernels == expected.observed_kernels
+    assert result.observed_transfers == expected.observed_transfers
 
 
 class TestExperimentSpec:
@@ -105,6 +135,169 @@ class TestExperimentSpec:
         assert [s.algorithm for s in specs] == [
             "vector_addition", "reduction", "matrix_multiplication"]
         assert all(s.backends == DEFAULT_BACKENDS for s in specs)
+
+
+#: Values of no field's type, mixed into every field's strategy.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 5), st.text(max_size=3)), max_size=3),
+)
+
+#: Per field: valid values, near misses and junk.
+SPEC_FIELDS = {
+    "algorithm": st.one_of(
+        st.sampled_from(["vector_addition", "reduction", "x", ""]), JUNK
+    ),
+    "sizes": st.one_of(
+        st.lists(
+            st.sampled_from(
+                [1, 1_000, 2**62, 10**30, 0, -1, 2.5, float("nan"), True, "5"]
+            ),
+            max_size=3,
+        ),
+        JUNK,
+    ),
+    "scale": st.one_of(st.sampled_from(["paper", "small", "huge"]), JUNK),
+    "preset": st.one_of(
+        st.sampled_from(["gtx650", "gtx980", "not-a-preset", ""]), JUNK
+    ),
+    "device_config": st.one_of(
+        st.sampled_from([
+            DeviceConfig.gtx980().to_dict(), {"num_sms": "x"}, {"bogus": 1}
+        ]),
+        JUNK,
+    ),
+    "seed": st.one_of(st.integers(-2, 2**64), JUNK),
+    "backends": st.one_of(
+        st.lists(st.sampled_from(["atgpu", "perfect", "atgpu-topo", 1]),
+                 max_size=3),
+        JUNK,
+    ),
+    "topology": st.one_of(
+        st.sampled_from([
+            Topology.homogeneous(2, 0.5).to_dict(), {"devices": []},
+            {"topolgy": 1},
+        ]),
+        JUNK,
+    ),
+}
+
+#: Bad fields that, once accepted, fail late, deep inside, or silently
+#: (``backends="atgpu"`` would mean five one-letter backends, ``seed=2.7``
+#: seed 2), so the spec must reject them where it is built.
+BOUNDARY_CASES = [
+    {"preset": None},
+    {"preset": 1},
+    {"preset": []},
+    {"algorithm": "x"},
+    {"algorithm": 1},
+    {"algorithm": [1, "a"]},
+    {"backends": "atgpu"},
+    {"backends": [1, "a"]},
+    {"seed": 2.7},
+    {"seed": -1},
+    {"device_config": []},
+    {"sizes": [10**30]},
+]
+
+
+def boundary_payload(case):
+    return {"algorithm": "vector_addition", "sizes": [1_000], **case}
+
+
+def with_examples(cases):
+    """Pin every case as an explicit example of a ``payload`` test."""
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(payload=boundary_payload(case))(test)
+        return test
+    return decorate
+
+
+class TestSpecBoundary:
+    """Bad spec fields fail where the spec is built, with a typed error."""
+
+    @pytest.mark.parametrize(
+        "case", BOUNDARY_CASES, ids=lambda case: repr(case)
+    )
+    def test_each_boundary_case_raises_at_construction(self, case):
+        with pytest.raises((TypeError, ValueError)):
+            ExperimentSpec(**boundary_payload(case))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(payload=st.fixed_dictionaries({}, optional=SPEC_FIELDS))
+    @with_examples(BOUNDARY_CASES)
+    def test_from_dict_and_json_raise_only_typed_errors(self, payload):
+        try:
+            spec = ExperimentSpec.from_dict(payload)
+        except (TypeError, ValueError):
+            pass
+        else:
+            # What constructs is whole: it keeps every value it was given,
+            # resolves, hashes and round-trips.  Only preset and backend
+            # names are looked up late, as registry KeyErrors.
+            data = spec.to_dict()
+            for key, value in payload.items():
+                assert data[key] == json.loads(json.dumps(value))
+            create(spec.algorithm)
+            np.asarray(spec.resolved_sizes(), dtype=np.int64)
+            try:
+                spec.resolved_preset()
+            except KeyError:
+                pass
+            assert ExperimentSpec.from_json(spec.to_json()) == spec
+            assert len(spec.spec_hash()) == 16
+        try:
+            ExperimentSpec.from_json(json.dumps(payload))
+        except (TypeError, ValueError):
+            pass
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        algorithm=st.sampled_from(sorted(ALL_ALGORITHMS)),
+        hostile=st.sampled_from(
+            [float("nan"), float("inf"), -1, 0, True, "5", 2.5, 2**62,
+             10**30]
+        ),
+        valid=st.lists(st.sampled_from([1_000, 4_000]), max_size=2),
+        position=st.integers(0, 2),
+    )
+    @example(algorithm="vector_addition", hostile=float("nan"), valid=[],
+             position=0)
+    @example(algorithm="vector_addition", hostile=float("inf"), valid=[],
+             position=0)
+    @example(algorithm="vector_addition", hostile=-1, valid=[], position=0)
+    @example(algorithm="vector_addition", hostile=0, valid=[], position=0)
+    @example(algorithm="vector_addition", hostile=True, valid=[], position=0)
+    @example(algorithm="vector_addition", hostile="5", valid=[], position=0)
+    @example(algorithm="vector_addition", hostile=2.5, valid=[], position=0)
+    @example(algorithm="vector_addition", hostile=2**62, valid=[], position=0)
+    @example(algorithm="vector_addition", hostile=10**30, valid=[], position=0)
+    def test_session_run_rejects_hostile_sizes_typed(
+        self, algorithm, hostile, valid, position
+    ):
+        sizes = list(valid)
+        sizes.insert(position, hostile)
+        with pytest.raises((TypeError, ValueError, CapacityError)):
+            Session().run(ExperimentSpec(algorithm, sizes=sizes))
+
+    def test_only_huge_in_range_sizes_reach_the_capacity_check(self):
+        ExperimentSpec("vector_addition", sizes=(2**62,))  # constructs
+        with pytest.raises(CapacityError):
+            Session().run(ExperimentSpec("vector_addition", sizes=(2**62,)))
+
+    def test_numpy_integers_and_mappings_are_coerced(self):
+        spec = ExperimentSpec(
+            "reduction", sizes=(np.int64(1_024),), seed=np.int64(3),
+            device_config=DeviceConfig.gtx980().to_dict(),
+        )
+        assert type(spec.seed) is int and spec.seed == 3
+        assert type(spec.sizes[0]) is int
+        assert spec.device_config == DeviceConfig.gtx980()
 
 
 class TestBackendRegistry:
@@ -217,7 +410,7 @@ class TestSessionExecution:
         assert 0 <= stats["swgpu_capture_fraction"] <= 1
 
     def test_result_json_roundtrip_preserves_statistics(self):
-        result = execute_spec(tiny_spec(seed=3))
+        result = oracle(tiny_spec(seed=3))
         restored = Result.from_json(result.to_json())
         assert restored.summary() == pytest.approx(result.summary())
         assert restored.spec == result.spec
@@ -268,11 +461,9 @@ class TestSessionExecution:
         class CountingEngine:
             name = "counting"
 
-            def map(self, specs):
-                from repro.experiments.session import execute_spec
-
+            def map(self, fn, specs):
                 executed.extend(specs)
-                return [execute_spec(spec) for spec in specs]
+                return [fn(spec) for spec in specs]
 
         session.engine = CountingEngine()
         results = session.run_many(
@@ -372,12 +563,8 @@ class TestGroupedBatchExecution:
         ]
         grouped = Session(engine="serial").run_many(specs, use_cache=False)
         for spec, result in zip(specs, grouped):
-            direct = execute_spec(spec)
             assert result.spec == spec
-            assert result.predicted == direct.predicted
-            assert result.predicted_transfer_proportions == \
-                direct.predicted_transfer_proportions
-            assert result.observed_totals == direct.observed_totals
+            assert_same_result(result, oracle(spec))
 
     def test_grouped_execution_handles_unbatchable_backends(self):
         custom = make_backend(
@@ -396,7 +583,7 @@ class TestGroupedBatchExecution:
                 results[1].backend_series("test-session-scalar-only"),
                 results[1].backend_series("atgpu"),
             )
-            assert results[0].predicted == execute_spec(specs[0]).predicted
+            assert results[0].predicted == oracle(specs[0]).predicted
         finally:
             unregister_backend("test-session-scalar-only")
 
@@ -410,25 +597,64 @@ class TestGroupedBatchExecution:
         assert [r.spec for r in results] == specs
 
 
+#: A 12-point grid between 1,000 and 16,384; batches take windows of it.
+GRID = tuple(int(n) for n in np.geomspace(1_000, 16_384, 12).round())
+
+
+@st.composite
+def grid_specs(draw) -> ExperimentSpec:
+    start = draw(st.integers(0, len(GRID) - 1))
+    stop = draw(st.integers(start + 1, min(len(GRID), start + 4)))
+    return ExperimentSpec(
+        draw(st.sampled_from(["vector_addition", "reduction"])),
+        sizes=GRID[start:stop],
+        seed=draw(st.sampled_from([0, 1])),
+        preset=draw(st.sampled_from(["gtx650", "gtx980"])),
+        backends=draw(
+            st.sampled_from([DEFAULT_BACKENDS, ("atgpu", "perfect")])
+        ),
+    )
+
+
+cached_oracle = functools.lru_cache(maxsize=None)(oracle)
+
+
+class TestOnePath:
+    """Every batch, cached or not, equals the public-API oracle."""
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(batch=st.lists(grid_specs(), min_size=1, max_size=6))
+    def test_generated_batches_equal_the_oracle(self, batch):
+        session = Session()
+        results = session.run_many(batch)
+        uncached = Session().run_many(batch, use_cache=False)
+        assert len(results) == len(uncached) == len(batch)
+        for spec, result, fresh in zip(batch, results, uncached):
+            assert_same_result(result, cached_oracle(spec))
+            assert_same_result(fresh, cached_oracle(spec))
+        for spec, result in zip(batch, results):
+            assert session.run(spec) is result
+
+
 class TestEngineAndSessionLifecycle:
     def test_process_pool_engine_reuses_one_pool(self):
         engine = ProcessPoolEngine(max_workers=2)
         assert engine.pool is None  # lazy: no workers before the first batch
         specs = [tiny_spec(seed=0), tiny_spec(seed=1)]
-        engine.map(specs)
+        engine.map(observe_spec, specs)
         first = engine.pool
         assert first is not None
-        engine.map(specs)
+        engine.map(observe_spec, specs)
         assert engine.pool is first  # no per-batch teardown/respawn
         engine.close()
         assert engine.pool is None
-        engine.map(specs)  # usable again after close
+        engine.map(observe_spec, specs)  # usable again after close
         assert engine.pool is not None and engine.pool is not first
         engine.close()
 
     def test_single_spec_batches_never_spawn_workers(self):
         engine = ProcessPoolEngine(max_workers=2)
-        engine.map([tiny_spec()])
+        engine.map(observe_spec, [tiny_spec()])
         assert engine.pool is None
 
     def test_broken_pool_retries_the_batch_once_on_a_fresh_pool(self):
@@ -445,7 +671,9 @@ class TestEngineAndSessionLifecycle:
 
         engine._pool = PoisonedPool()
         # One break is absorbed: the batch re-runs on a fresh pool.
-        results = engine.map([tiny_spec(seed=0), tiny_spec(seed=1)])
+        results = engine.map(
+            observe_spec, [tiny_spec(seed=0), tiny_spec(seed=1)]
+        )
         assert len(results) == 2
         assert engine.pool is not None and not isinstance(
             engine.pool, PoisonedPool
@@ -487,12 +715,40 @@ class TestEngineAndSessionLifecycle:
 
         engine._ensure_pool = poisoned_ensure
         with pytest.raises(EngineError) as excinfo:
-            engine.map(specs)
+            engine.map(observe_spec, specs)
         assert specs[0].spec_hash() in str(excinfo.value)
         assert excinfo.value.spec == specs[0]
         engine._ensure_pool = original
         assert engine.pool is None
         engine.close()
+
+    def test_spawned_workers_need_no_runtime_registry(self):
+        """Workers only simulate, so a backend registered at run time works
+        on a ``spawn`` pool, whose workers import the package afresh and
+        see only the built-in registries."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        custom = make_backend("test-session-spawned", "spawned",
+                              lambda metrics, m, p, o: 1.0)
+        register_backend(custom)
+        try:
+            specs = [
+                tiny_spec(seed=seed, backends=("atgpu", custom.name))
+                for seed in (0, 1)
+            ]
+            engine = ProcessPoolEngine(max_workers=2)
+            engine._pool = ProcessPoolExecutor(
+                max_workers=2,
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+            with Session(engine=engine) as session:
+                results = session.run_many(specs)
+            for spec, result in zip(specs, results):
+                assert result.predicted[custom.name] == [1.0, 1.0]
+                assert_same_result(result, Session().run(spec))
+        finally:
+            unregister_backend(custom.name)
 
     def test_session_context_manager_closes_engine(self):
         engine = ProcessPoolEngine(max_workers=2)
@@ -574,6 +830,13 @@ class TestBatchEvaluationCache:
         # backends tuple (sizes are sliced out of the shared evaluation).
         assert session.batch_cache_misses == 3
         assert session.batch_cache.size == 3
+
+    def test_run_reads_and_fills_the_batch_memo(self):
+        session = Session()
+        session.run(tiny_spec(seed=0))
+        assert (session.batch_cache_hits, session.batch_cache_misses) == (0, 2)
+        session.run(tiny_spec(seed=1))
+        assert (session.batch_cache_hits, session.batch_cache_misses) == (1, 2)
 
     def test_use_cache_false_bypasses_batch_cache(self):
         session = Session()
@@ -669,21 +932,31 @@ class TestSessionThreadSafety:
         assert not list(tmp_path.glob("*.tmp"))
 
 
-class TestPoolResultSeeding:
-    def test_process_pool_results_seed_the_batch_memo(self):
+class TestPoolBatchMemo:
+    def test_process_pool_fills_the_batch_memo_as_serial_does(self):
+        specs = [tiny_spec(seed=0), tiny_spec(seed=1)]
+        serial = Session()
+        want = serial.run_many(specs)
         with Session(engine="process") as session:
-            specs = [tiny_spec(seed=0), tiny_spec(seed=1)]
             first = session.run_many(specs)
-            # The pool's results were routed back into the parent's memo
-            # without counting as misses (nothing was compiled here).
-            assert session.batch_cache.size >= 1
-            assert session.batch_cache_misses == 0
-            hits = session.batch_cache_hits
-            # An in-process pass over the same (algorithm, preset, sizes,
-            # backends) is served entirely from the seeded prediction.
-            fresh = execute_specs(
-                [tiny_spec(seed=2)], batch_cache=session.batch_cache
+            assert session.engine.pool is not None  # simulated in workers
+            # Predictions are made in this process, grouped and memoised
+            # exactly as on the serial engine: one union compile and one
+            # union evaluation, two misses.
+            counts = (
+                session.batch_cache_hits,
+                session.batch_cache_misses,
+                session.batch_cache.size,
             )
-            assert session.batch_cache_misses == 0
-            assert session.batch_cache_hits == hits + 1
-            assert fresh[0].predicted["atgpu"] == first[0].predicted["atgpu"]
+            assert counts == (
+                serial.batch_cache_hits,
+                serial.batch_cache_misses,
+                serial.batch_cache.size,
+            ) == (0, 2, 2)
+            # A later in-process pass over the same sweeps hits the memo.
+            fresh = session.run(tiny_spec(seed=2))
+            assert session.batch_cache_misses == 2
+            assert session.batch_cache_hits == 1
+            assert fresh.predicted == first[0].predicted
+        for result, expected in zip(first, want):
+            assert_same_result(result, expected)

@@ -25,7 +25,7 @@ from repro.simulator import (
     bank_conflict_degree,
     coalesced_transactions,
 )
-from repro.simulator.trace import BlockTrace
+from repro.simulator.trace import BlockTrace, EventKind, Timeline
 
 
 class TestCoalescing:
@@ -221,6 +221,17 @@ class TestTransferEngine:
             record.bytes / record.duration_s
         )
         assert engine.total_words() == 2000
+
+
+class TestTimeline:
+    def test_totals_add_in_order_like_the_clock(self):
+        """Durations add left to right, as the clock and the array replays
+        do; the builtin ``sum`` (compensated from Python 3.12) would give
+        1.0000000000000002e16 here."""
+        timeline = Timeline()
+        for duration in (1e16, 1.0, 1.0):
+            timeline.record(EventKind.KERNEL, "k", duration)
+        assert timeline.kernel_time() == timeline.now == 1e16
 
 
 class TestScheduler:

@@ -49,6 +49,14 @@ class TestStreamTimeline:
         assert timeline.makespan_s == 5.0
         assert timeline.serial_time_s == 5.0
 
+    def test_serial_time_adds_in_order(self):
+        """One stream's serial time equals its clock: durations add left to
+        right, not with the compensated ``sum`` of Python 3.12+."""
+        timeline = StreamTimeline()
+        for duration in (1e16, 1.0, 1.0):
+            timeline.submit("s0", StreamOpKind.KERNEL, duration)
+        assert timeline.serial_time_s == timeline.makespan_s == 1e16
+
     def test_different_engines_overlap_across_streams(self):
         timeline = StreamTimeline()
         copy = timeline.submit("s0", StreamOpKind.H2D, 4.0)
