@@ -7,15 +7,13 @@ The package is organised as:
 
 * :mod:`repro.core` -- the ATGPU model itself: machine, metrics, transfer
   model, cost functions, SWGPU/AGPU baselines, prediction and calibration.
-* :mod:`repro.models` -- the classical parallel models (PRAM, BSP, BSPRAM,
-  PEM) the paper surveys, with an extended feature comparison.
 * :mod:`repro.simulator` -- an executable abstract-GPU simulator used as the
   "observed" side of every experiment (the GTX 650 substitute).
 * :mod:`repro.pseudocode` -- the ATGPU pseudocode notation as an embedded
   DSL with validation, static analysis, interpretation and rendering.
 * :mod:`repro.algorithms` -- the evaluated computational problems (vector
   addition, reduction, matrix multiplication) plus extension problems.
-* :mod:`repro.workloads` -- input generators and the paper's sweeps.
+* :mod:`repro.workloads` -- the paper's sweeps.
 * :mod:`repro.experiments` -- the declarative experiment layer: specs,
   sessions, results, and the harness that regenerates every figure and
   table of the evaluation section.

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.analysis import AnalysisReport, analyse_metrics
 from repro.core.batch import MetricsBatch
 from repro.core.machine import ATGPUMachine
-from repro.core.metrics import AlgorithmMetrics
+from repro.core.metrics import AlgorithmMetrics, CapacityError
 from repro.core.prediction import (
     SweepObservation,
     SweepPrediction,
@@ -296,6 +296,26 @@ class GPUAlgorithm(abc.ABC):
         """Whether this algorithm overrides :meth:`metrics_batch`."""
         return type(self).metrics_batch is not GPUAlgorithm.metrics_batch
 
+    def _batch_factory(self, machine: ATGPUMachine):
+        """:meth:`metrics_batch` on ``machine``, as the batch paths call it.
+
+        A problem of size ``n`` keeps its input, at least ``n`` words, in
+        global memory, so a size above ``G`` never fits.  Such a size raises
+        :class:`~repro.core.metrics.CapacityError` here, as on the scalar
+        path, before :meth:`metrics_batch` derives int64 columns from it
+        that could wrap.
+        """
+        def factory(ns: Sequence[int]) -> MetricsBatch:
+            if max(ns) > machine.G:
+                n = next(n for n in ns if n > machine.G)
+                raise CapacityError(
+                    f"algorithm {self.name} needs at least {n} words of "
+                    f"global memory at size {n} but the machine only has "
+                    f"G={machine.G}"
+                )
+            return self.metrics_batch(ns, machine)
+        return factory
+
     @abc.abstractmethod
     def build_pseudocode(self, n: int, machine: ATGPUMachine) -> Program:
         """The algorithm's ATGPU pseudocode listing at size ``n``."""
@@ -344,7 +364,7 @@ class GPUAlgorithm(abc.ABC):
             parameters=preset.parameters,
             occupancy=preset.occupancy,
             backends=backends,
-            grid_factory=lambda ns: self.metrics_batch(ns, preset.machine),
+            grid_factory=self._batch_factory(preset.machine),
         )
 
     def compile_batch(
@@ -360,7 +380,7 @@ class GPUAlgorithm(abc.ABC):
         sizes = list(sizes) if sizes is not None else self.default_sizes()
         return MetricsBatch.compile(
             self.name, sizes,
-            grid_factory=lambda ns: self.metrics_batch(ns, preset.machine),
+            grid_factory=self._batch_factory(preset.machine),
         )
 
     # ------------------------------------------------------------------ #

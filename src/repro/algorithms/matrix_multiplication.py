@@ -197,9 +197,10 @@ class MatrixMultiplication(GPUAlgorithm):
         return MetricsBatch.from_rounds(sizes, [round_arrays(
             len(sizes),
             time=(sizes * b).astype(float),
-            io_blocks=(blocks * io_per_block).astype(float),
+            # Float products: for sides up to G the int64 ones could wrap.
+            io_blocks=blocks.astype(float) * io_per_block,
             inward_words=2.0 * sizes * sizes,
-            outward_words=(sizes * sizes).astype(float),
+            outward_words=sizes.astype(float) * sizes,
             inward_transactions=2,
             outward_transactions=1,
             global_words=3.0 * sizes * sizes,

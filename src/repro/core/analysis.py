@@ -55,11 +55,6 @@ class AnalysisReport:
         return self.gpu_breakdown.total
 
     @property
-    def atgpu_cost(self) -> float:
-        """Alias of :attr:`gpu_cost` (the cost plotted as "ATGPU")."""
-        return self.gpu_cost
-
-    @property
     def transfer_cost(self) -> float:
         """Predicted total transfer cost ``Σ (T_I + T_O)``."""
         return self.gpu_breakdown.transfer
@@ -95,26 +90,6 @@ class AnalysisReport:
             f"report for {self.algorithm!r} has no cost for backend {name!r}; "
             f"available backends: {known}"
         )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten the headline numbers for tabular output / serialisation."""
-        return {
-            "input_size": float(self.input_size),
-            "rounds": float(self.num_rounds),
-            "time": float(self.metrics.total_time),
-            "io_blocks": float(self.metrics.total_io_blocks),
-            "transfer_words": float(self.metrics.total_transfer_words),
-            "global_words": float(self.metrics.max_global_words),
-            "shared_words_per_mp": float(self.metrics.max_shared_words_per_mp),
-            "perfect_cost": float(self.perfect_cost),
-            "gpu_cost": float(self.gpu_cost),
-            "swgpu_cost": float(self.swgpu_cost),
-            "transfer_cost": float(self.transfer_cost),
-            "kernel_cost": float(self.kernel_cost),
-            "predicted_transfer_proportion": float(
-                self.predicted_transfer_proportion
-            ),
-        }
 
 
 def analyse_metrics(

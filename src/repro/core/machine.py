@@ -174,16 +174,3 @@ class ATGPUMachine:
             f"with k={self.k} multiprocessors"
         )
 
-
-def perfect_machine_for(threads: int, b: int, M: int, G: int) -> ATGPUMachine:
-    """Build the "perfect GPU" machine with one MP per thread block.
-
-    Expression (1) of the paper evaluates the cost on a machine with enough
-    multiprocessors to run every thread block of the algorithm concurrently.
-    This helper returns an :class:`ATGPUMachine` with ``k`` equal to the
-    number of thread blocks required by ``threads`` threads of width ``b``.
-    """
-    ensure_positive_int(threads, "threads")
-    ensure_positive_int(b, "b")
-    k = ceil_div(threads, b)
-    return ATGPUMachine(p=k * b, b=b, M=M, G=G)

@@ -126,11 +126,6 @@ class SweepPrediction:
         return self.series_for("swgpu")
 
     @property
-    def perfect_costs(self) -> np.ndarray:
-        """Expression (1) cost per size."""
-        return self.series_for("perfect")
-
-    @property
     def transfer_costs(self) -> np.ndarray:
         """Predicted transfer cost per size."""
         return self._required(self.transfers, "transfer_costs")

@@ -54,10 +54,6 @@ class GPUPreset:
     parameters: CostParameters
     description: str = ""
 
-    def cost_parameters(self) -> CostParameters:
-        """The preset's cost parameters (convenience accessor)."""
-        return self.parameters
-
 
 def _make_preset(
     name: str,

@@ -121,8 +121,20 @@ class DeviceSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.preset is not None and not self.preset:
-            raise ValueError("a device preset override must be a non-empty name")
+        if self.preset is not None:
+            if not isinstance(self.preset, str):
+                raise TypeError(
+                    "a device preset override must be a preset name, got "
+                    f"{type(self.preset).__name__}"
+                )
+            if not self.preset:
+                raise ValueError(
+                    "a device preset override must be a non-empty name"
+                )
+        if not isinstance(self.name, str):
+            raise TypeError(
+                f"a device name must be a str, got {type(self.name).__name__}"
+            )
         if self.hardware_block_limit is not None:
             ensure_positive_int(
                 self.hardware_block_limit, "hardware_block_limit"
@@ -194,10 +206,12 @@ class LinkSpec:
             )
         ensure_non_negative_int(self.socket, "socket")
         ensure_in_range(self.contention, "contention", 0.0, 1.0)
-        if self.alpha is not None:
-            ensure_non_negative(self.alpha, "alpha")
-        if self.beta is not None:
-            ensure_non_negative(self.beta, "beta")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(
+                ensure_non_negative(value, name)
+            ):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         """The link as a plain JSON-serialisable dictionary."""
@@ -417,18 +431,8 @@ class Topology:
         reject_unknown_fields(
             "Topology", data, (f.name for f in fields(cls))
         )
-        payload = dict(data)
-        if "devices" in payload:
-            payload["devices"] = tuple(
-                DeviceSpec.from_dict(d) if isinstance(d, Mapping) else d
-                for d in payload["devices"]
-            )
-        if "links" in payload:
-            payload["links"] = tuple(
-                LinkSpec.from_dict(l) if isinstance(l, Mapping) else l
-                for l in payload["links"]
-            )
-        return cls(**payload)
+        # Construction coerces nested device and link mappings.
+        return cls(**dict(data))
 
     def to_json(self) -> str:
         """The topology as canonical (sorted-key) JSON."""

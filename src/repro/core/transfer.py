@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 from repro.core.metrics import RoundMetrics
 from repro.utils.validation import (
@@ -32,31 +32,6 @@ class TransferDirection(enum.Enum):
 
     HOST_TO_DEVICE = "inward"
     DEVICE_TO_HOST = "outward"
-
-
-@dataclass(frozen=True)
-class TransferEvent:
-    """One logical transfer transaction (one array moved in one direction).
-
-    A zero-word event is a *marker*: it records that a direction was touched
-    (e.g. a ``W`` statement whose slice turned out empty) but moves nothing,
-    costs nothing — not even the per-transaction ``α`` — and does not count
-    as a transaction.  Only events with ``words > 0`` are charged.
-    """
-
-    direction: TransferDirection
-    words: float
-    label: str = ""
-
-    @property
-    def is_marker(self) -> bool:
-        """``True`` for zero-word events (uncharged, not a transaction)."""
-        return self.words == 0
-
-    def __post_init__(self) -> None:
-        ensure_non_negative(self.words, "words")
-        if not isinstance(self.direction, TransferDirection):
-            raise TypeError("direction must be a TransferDirection")
 
 
 @dataclass(frozen=True)
@@ -100,18 +75,6 @@ class BoyerTransferModel:
         """Total transfer cost of one round, ``T_I(i) + T_O(i)``."""
         return self.inward_cost(metrics) + self.outward_cost(metrics)
 
-    def events_cost(self, events: Iterable[TransferEvent]) -> float:
-        """Cost of an explicit list of transfer events.
-
-        Each event with ``words > 0`` is one transaction (``α + words·β``);
-        zero-word marker events are free (see :class:`TransferEvent`),
-        matching the transaction counts reported by :class:`TransferPlan`.
-        """
-        total = 0.0
-        for event in events:
-            total += self.cost(event.words, 1 if event.words > 0 else 0)
-        return total
-
     def effective_bandwidth(self, words: float, transactions: int = 1) -> float:
         """Achieved words-per-cost-unit for a transfer of ``words`` words.
 
@@ -122,64 +85,6 @@ class BoyerTransferModel:
         if words <= 0:
             raise ValueError("effective bandwidth requires words > 0")
         return words / self.cost(words, transactions)
-
-
-@dataclass(frozen=True)
-class TransferPlan:
-    """An explicit per-round schedule of transfer events.
-
-    The pseudocode analyzer produces one plan per round (one event per ``W``
-    statement); the plan can be converted to the aggregate counts stored in
-    :class:`~repro.core.metrics.RoundMetrics`.
-    """
-
-    events: Tuple[TransferEvent, ...]
-
-    @staticmethod
-    def from_events(events: Sequence[TransferEvent]) -> "TransferPlan":
-        """Build a plan from a sequence of events."""
-        return TransferPlan(events=tuple(events))
-
-    @property
-    def inward_events(self) -> List[TransferEvent]:
-        """Events moving data host → device."""
-        return [e for e in self.events
-                if e.direction is TransferDirection.HOST_TO_DEVICE]
-
-    @property
-    def outward_events(self) -> List[TransferEvent]:
-        """Events moving data device → host."""
-        return [e for e in self.events
-                if e.direction is TransferDirection.DEVICE_TO_HOST]
-
-    @property
-    def inward_words(self) -> float:
-        """``I_i`` implied by the plan."""
-        return sum(e.words for e in self.inward_events)
-
-    @property
-    def outward_words(self) -> float:
-        """``O_i`` implied by the plan."""
-        return sum(e.words for e in self.outward_events)
-
-    @property
-    def inward_transactions(self) -> int:
-        """``Î_i`` implied by the plan.
-
-        One transaction per event that actually moves data; zero-word marker
-        events are not transactions, matching
-        :meth:`BoyerTransferModel.events_cost`.
-        """
-        return sum(1 for e in self.inward_events if not e.is_marker)
-
-    @property
-    def outward_transactions(self) -> int:
-        """``Ô_i`` implied by the plan (zero-word markers excluded)."""
-        return sum(1 for e in self.outward_events if not e.is_marker)
-
-    def total_words(self) -> float:
-        """Total words moved by the plan in either direction."""
-        return self.inward_words + self.outward_words
 
 
 @dataclass(frozen=True)

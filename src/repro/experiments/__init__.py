@@ -17,11 +17,7 @@ from repro.experiments.figures import (
     figure_scaling,
     figure_shard_sweep,
 )
-from repro.experiments.report import (
-    render_comparison_summary,
-    render_figure,
-    render_figures,
-)
+from repro.experiments.report import render_figure, render_figures
 from repro.experiments.results import (
     Result,
     ResultSet,
@@ -70,7 +66,6 @@ __all__ = [
     "figure_overlap",
     "figure_scaling",
     "figure_shard_sweep",
-    "render_comparison_summary",
     "render_figure",
     "render_figures",
     "Result",

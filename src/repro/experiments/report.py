@@ -6,7 +6,7 @@ these functions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.experiments.figures import FigureSeries
 
@@ -32,11 +32,3 @@ def render_figures(figures: Dict[str, FigureSeries], precision: int = 6) -> str:
         render_figure(figures[key], precision=precision) for key in sorted(figures)
     )
 
-
-def render_comparison_summary(title: str, summary: Dict[str, float]) -> str:
-    """Render a flat metric dictionary under a title line."""
-    lines = [title]
-    width = max(len(key) for key in summary)
-    for key, value in summary.items():
-        lines.append(f"  {key.ljust(width)} : {value:.4f}")
-    return "\n".join(lines)

@@ -27,7 +27,6 @@ from repro.lint.engine import (
     register_rule,
 )
 from repro.lint.findings import (
-    Baseline,
     Finding,
     Severity,
     Suppressions,
@@ -35,7 +34,6 @@ from repro.lint.findings import (
 )
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintEngine",
     "LintReport",

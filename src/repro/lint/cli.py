@@ -1,10 +1,10 @@
 """Command-line entry point: ``python -m repro.lint [paths...]``.
 
-Exit status: ``0`` when no active finding remains (suppressed and
-baselined findings do not count), ``1`` when violations exist, ``2`` for
-usage errors.  ``--format json`` prints the full machine-readable report;
-``--out`` additionally writes that JSON to a file regardless of the
-display format (the CI lane uploads it as an artifact).
+Exit status: ``0`` when no active finding remains (findings covered by a
+``# repro-lint: disable=`` comment do not count), ``1`` when violations
+exist, ``2`` for usage errors.  ``--format json`` prints the full
+machine-readable report; ``--out`` additionally writes that JSON to a file
+regardless of the display format (the CI lane uploads it as an artifact).
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.lint.engine import default_rules, lint_paths
-from repro.lint.findings import Baseline, render_text
+from repro.lint.findings import render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,10 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
             "test tree for cross-reference rules such as PAR001 "
             "(default: tests; skipped when the directory does not exist)"
         ),
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="JSON baseline of accepted findings (they do not fail the run)",
     )
     parser.add_argument(
         "--rules", default=None, metavar="ID[,ID...]",
@@ -94,12 +90,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not tests_root.exists():
         tests_root = None
 
-    baseline = (
-        Baseline.load(Path(args.baseline)) if args.baseline else None
-    )
-    report = lint_paths(
-        paths, tests_root=tests_root, rules=rules, baseline=baseline
-    )
+    report = lint_paths(paths, tests_root=tests_root, rules=rules)
 
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
@@ -113,8 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"{summary['files']} files checked, "
             f"{summary['active']} active finding(s) "
-            f"({summary['suppressed']} suppressed, "
-            f"{summary['baselined']} baselined)"
+            f"({summary['suppressed']} suppressed)"
         )
     return 0 if report.ok else 1
 

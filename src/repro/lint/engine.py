@@ -5,8 +5,8 @@ The engine parses every Python file under the target roots once into a
 :class:`Rule` — rules therefore can be purely local (walk one file's AST) or
 cross-referential (compare ``core/backends.py`` registrations against the
 test tree, as ``PAR001`` does).  Findings come back typed
-(:class:`~repro.lint.findings.Finding`), get inline suppressions and the
-optional baseline applied, and are wrapped in a :class:`LintReport`.
+(:class:`~repro.lint.findings.Finding`), get inline suppressions applied,
+and are wrapped in a :class:`LintReport`.
 
 Adding a rule::
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Type
 
-from repro.lint.findings import Baseline, Finding, Severity, Suppressions
+from repro.lint.findings import Finding, Severity, Suppressions
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def default_rules(
 
 @dataclass
 class LintReport:
-    """Every finding of one engine run, suppressions/baseline applied."""
+    """Every finding of one engine run, suppressions applied."""
 
     findings: List[Finding]
     checked_files: int = 0
@@ -227,7 +227,7 @@ class LintReport:
 
     @property
     def active(self) -> List[Finding]:
-        """Findings that are neither suppressed nor baselined."""
+        """Findings that no suppression comment covers."""
         return [f for f in self.findings if f.active]
 
     @property
@@ -240,7 +240,6 @@ class LintReport:
             "files": self.checked_files,
             "total": len(self.findings),
             "suppressed": sum(1 for f in self.findings if f.suppressed),
-            "baselined": sum(1 for f in self.findings if f.baselined),
             "active": len(self.active),
         }
 
@@ -263,10 +262,8 @@ class LintEngine:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate rule ids in engine: {ids}")
 
-    def run(
-        self, ctx: PackageContext, baseline: Optional[Baseline] = None
-    ) -> LintReport:
-        """Check every rule, then apply suppressions and the baseline."""
+    def run(self, ctx: PackageContext) -> LintReport:
+        """Check every rule, then apply suppressions."""
         raw: List[Finding] = list(ctx.parse_failures)
         for rule in self.rules:
             raw.extend(rule.check(ctx))
@@ -279,8 +276,6 @@ class LintEngine:
             table = suppressions.get(finding.path)
             if table is not None:
                 finding = table.apply(finding)
-            if baseline is not None:
-                finding = baseline.apply(finding)
             findings.append(finding)
         findings.sort(key=lambda f: (f.path, f.line, f.rule))
         return LintReport(
@@ -294,22 +289,18 @@ def lint_sources(
     files: Mapping[str, str],
     tests: Optional[Mapping[str, str]] = None,
     rules: Optional[Iterable[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint in-memory sources — the fixture entry point used by the tests."""
     engine = LintEngine(rules=rules)
-    return engine.run(
-        PackageContext.from_sources(files, tests=tests), baseline=baseline
-    )
+    return engine.run(PackageContext.from_sources(files, tests=tests))
 
 
 def lint_paths(
     paths: Sequence[Path],
     tests_root: Optional[Path] = None,
     rules: Optional[Iterable[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint files/directories on disk — the CLI entry point."""
     engine = LintEngine(rules=rules)
     ctx = PackageContext.from_paths(list(paths), tests_root=tests_root)
-    return engine.run(ctx, baseline=baseline)
+    return engine.run(ctx)

@@ -1,34 +1,26 @@
-"""Typed findings, suppression comments and baselines for ``repro.lint``.
+"""Typed findings and suppression comments for ``repro.lint``.
 
-A :class:`Finding` is one rule violation anchored to a file and line.  Two
-mechanisms keep a finding from failing the build:
+A :class:`Finding` is one rule violation anchored to a file and line.  An
+**inline suppression comment** on the offending line keeps a finding from
+failing the build::
 
-* an **inline suppression comment** on the offending line::
+    object.__setattr__(self, "_memo", value)  # repro-lint: disable=FRZ001 -- write-once memo
 
-      object.__setattr__(self, "_memo", value)  # repro-lint: disable=FRZ001 -- write-once memo
+Several rules separate with commas (``disable=LCK001,CEIL001``), and a
+standalone ``# repro-lint: disable-file=RULE`` line anywhere in a file
+disables the rule for that whole file.  Text after ``--`` (or in
+parentheses) records the justification and is carried on the finding.
 
-  Several rules separate with commas (``disable=LCK001,CEIL001``), and a
-  standalone ``# repro-lint: disable-file=RULE`` line anywhere in a file
-  disables the rule for that whole file.  Text after ``--`` (or in
-  parentheses) records the justification and is carried on the finding.
-
-* a **baseline file** (JSON) listing known findings by rule and path —
-  the escape hatch for adopting a new rule over a codebase with existing
-  debt without suppressing in source.  Entries match on ``rule`` + ``path``
-  and, when given, ``line``.
-
-``python -m repro.lint`` exits non-zero only for findings that are neither
-suppressed nor baselined.
+``python -m repro.lint`` exits non-zero only for findings that are not
+suppressed.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 
 class Severity(enum.Enum):
@@ -55,13 +47,11 @@ class Finding:
     suppressed: bool = False
     #: The justification text of the suppression comment, if any.
     suppression_reason: str = ""
-    #: Set when a baseline entry covers this finding.
-    baselined: bool = False
 
     @property
     def active(self) -> bool:
         """Whether the finding should fail the run."""
-        return not self.suppressed and not self.baselined
+        return not self.suppressed
 
     def location(self) -> str:
         """``path:line`` — the clickable anchor used by the text format."""
@@ -78,7 +68,6 @@ class Finding:
             "message": self.message,
             "suppressed": self.suppressed,
             "suppression_reason": self.suppression_reason,
-            "baselined": self.baselined,
             "active": self.active,
         }
 
@@ -156,69 +145,6 @@ class Suppressions:
         )
 
 
-# --------------------------------------------------------------------- #
-# Baselines
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Baseline:
-    """Known findings accepted as pre-existing debt.
-
-    The file format is JSON: ``{"findings": [{"rule": ..., "path": ...,
-    "line": ...?, "reason": ...?}, ...]}``.  ``line`` is optional — an
-    entry without one matches every line of the file, which keeps baselines
-    stable across unrelated edits above the finding.
-    """
-
-    entries: Tuple[Mapping[str, Any], ...] = ()
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        """Read a baseline file; a missing file is an empty baseline."""
-        path = Path(path)
-        if not path.exists():
-            return cls()
-        data = json.loads(path.read_text(encoding="utf-8"))
-        entries = data.get("findings", data if isinstance(data, list) else [])
-        if not isinstance(entries, list):
-            raise ValueError(
-                f"baseline {path} must hold a list of findings; "
-                f"got {type(entries).__name__}"
-            )
-        return cls(entries=tuple(entries))
-
-    @classmethod
-    def from_findings(cls, findings: Sequence[Finding]) -> "Baseline":
-        """A baseline accepting exactly the given findings."""
-        return cls(entries=tuple(
-            {"rule": f.rule, "path": f.path, "line": f.line}
-            for f in findings
-        ))
-
-    def to_json(self) -> str:
-        """The baseline as indented JSON (the on-disk format)."""
-        return json.dumps(
-            {"findings": list(self.entries)}, indent=2, sort_keys=True
-        )
-
-    def matches(self, finding: Finding) -> bool:
-        """Whether any entry covers ``finding``."""
-        for entry in self.entries:
-            if entry.get("rule") != finding.rule:
-                continue
-            if entry.get("path") != finding.path:
-                continue
-            line = entry.get("line")
-            if line is None or int(line) == finding.line:
-                return True
-        return False
-
-    def apply(self, finding: Finding) -> Finding:
-        """The finding, marked baselined when an entry covers it."""
-        if not finding.suppressed and self.matches(finding):
-            return replace(finding, baselined=True)
-        return finding
-
-
 def render_text(findings: Sequence[Finding]) -> List[str]:
     """The text-format report lines, one per finding (active ones first)."""
     lines: List[str] = []
@@ -232,8 +158,6 @@ def render_text(findings: Sequence[Finding]) -> List[str]:
                 if finding.suppression_reason
                 else "]"
             )
-        elif finding.baselined:
-            status = " [baselined]"
         lines.append(
             f"{finding.location()}: {finding.severity.value} "
             f"{finding.rule}: {finding.message}{status}"

@@ -30,7 +30,7 @@ from repro.pseudocode.interpreter import (
 )
 from repro.pseudocode.program import Program, Round
 from repro.pseudocode.render import render_launch, render_program
-from repro.pseudocode.validation import ValidationError, is_valid, validate_program
+from repro.pseudocode.validation import ValidationError, validate_program
 from repro.pseudocode.variables import (
     NamingError,
     Scope,
@@ -63,7 +63,6 @@ __all__ = [
     "render_launch",
     "render_program",
     "ValidationError",
-    "is_valid",
     "validate_program",
     "NamingError",
     "Scope",

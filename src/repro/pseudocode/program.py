@@ -12,7 +12,7 @@ statically analysed and executed on the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.pseudocode.ast_nodes import (
     KernelLaunch,
@@ -61,9 +61,9 @@ class Round:
         return len(self.transfers_out)
 
     def charged_inward_transactions(self, params: Dict[str, float]) -> int:
-        """``Î_i`` as charged by the cost model: statements moving no words
-        at these parameters are markers, not transactions (matching
-        :class:`repro.core.transfer.TransferEvent` semantics)."""
+        """``Î_i`` as charged by the cost model: a statement moving no words
+        at these parameters is a marker, which costs nothing (not even
+        ``α``) and is not a transaction."""
         return sum(1 for t in self.transfers_in if t.word_count(params) > 0)
 
     def charged_outward_transactions(self, params: Dict[str, float]) -> int:

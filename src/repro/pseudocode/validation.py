@@ -20,11 +20,8 @@ from typing import Iterable, List
 
 from repro.core.machine import ATGPUMachine
 from repro.pseudocode.ast_nodes import (
-    Barrier,
-    Compute,
     GlobalToShared,
     If,
-    KernelLaunch,
     Loop,
     SharedCompute,
     SharedToGlobal,
@@ -126,11 +123,3 @@ def validate_program(program: Program, machine: ATGPUMachine = None) -> None:
             + "\n  - ".join(errors)
         )
 
-
-def is_valid(program: Program, machine: ATGPUMachine = None) -> bool:
-    """Return ``True`` when :func:`validate_program` does not raise."""
-    try:
-        validate_program(program, machine)
-    except ValidationError:
-        return False
-    return True

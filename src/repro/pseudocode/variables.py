@@ -79,11 +79,6 @@ class Variable:
         ensure_positive_int(self.size, "size")
         validate_name(self.name, self.scope)
 
-    @property
-    def is_scalar(self) -> bool:
-        """Whether the variable is a single word."""
-        return self.size == 1
-
 
 def host_var(name: str, size: int = 1) -> Variable:
     """Declare a host variable (name must start with a capital letter)."""

@@ -166,13 +166,23 @@ class PredictionServer:
         future to a :class:`~repro.core.prediction.SweepPrediction` instead
         of a full :class:`~repro.experiments.results.Result`.
         """
+        if not isinstance(spec, ExperimentSpec):
+            raise TypeError(
+                f"submit takes an ExperimentSpec, got {type(spec).__name__}"
+            )
+        if not isinstance(tenant, str):
+            raise TypeError(
+                f"tenant must be a str, got {type(tenant).__name__}"
+            )
         if mode not in MODES:
             known = ", ".join(MODES)
             raise ValueError(
                 f"unknown request mode {mode!r}; known modes: {known}"
             )
-        if deadline_s is not None and deadline_s < 0:
-            raise ValueError("deadline_s must be non-negative")
+        if deadline_s is not None and not deadline_s >= 0:
+            raise ValueError(
+                f"deadline_s must be non-negative, got {deadline_s!r}"
+            )
         with self._lock:
             if self._closed:
                 raise ServerClosedError("the server has been closed")

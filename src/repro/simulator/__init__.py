@@ -39,7 +39,6 @@ from repro.simulator.streams import (
     StreamOp,
     StreamOpKind,
     StreamTimeline,
-    pipeline_makespan,
 )
 from repro.simulator.timing import KernelTiming, TimingEngine
 from repro.simulator.trace import (
@@ -80,7 +79,6 @@ __all__ = [
     "StreamOp",
     "StreamOpKind",
     "StreamTimeline",
-    "pipeline_makespan",
     "KernelTiming",
     "TimingEngine",
     "BlockTrace",

@@ -507,14 +507,6 @@ class StreamedSweepObservation:
     makespans_s: List[float]
     serial_times_s: List[float]
 
-    @property
-    def overlap_speedups(self) -> List[float]:
-        """Serial-over-overlapped ratio per size (1.0 = no benefit)."""
-        return [
-            1.0 if makespan == 0 else serial / makespan
-            for makespan, serial in zip(self.makespans_s, self.serial_times_s)
-        ]
-
 
 def simulate_streamed_sweep(
     algorithm,
@@ -696,14 +688,6 @@ class ShardedSweepObservation:
     makespans_s: List[float]
     serial_times_s: List[float]
     device_count: int
-
-    @property
-    def sharding_speedups(self) -> List[float]:
-        """Serial-over-sharded ratio per size (1.0 = no benefit)."""
-        return [
-            1.0 if makespan == 0 else serial / makespan
-            for makespan, serial in zip(self.makespans_s, self.serial_times_s)
-        ]
 
 
 def simulate_sharded_sweep(

@@ -11,12 +11,12 @@ the ``b``, ``M`` and ``G`` of the abstract machine it realises.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Mapping
 
 from repro.core.machine import ATGPUMachine
+from repro.core.metrics import MAX_SIZE
 from repro.utils.validation import (
     ensure_non_negative,
     ensure_positive,
@@ -122,6 +122,17 @@ class DeviceConfig:
         ensure_positive(self.d2h_bandwidth_bytes_per_s, "d2h_bandwidth_bytes_per_s")
         ensure_positive(self.pinned_speedup, "pinned_speedup")
         ensure_positive_int(self.functional_block_limit, "functional_block_limit")
+        # The config must realise a valid machine (b <= M, b <= G, ...).
+        self.abstract_machine()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and value > MAX_SIZE:
+                raise ValueError(
+                    f"{f.name} must fit in int64 (at most {MAX_SIZE}), "
+                    f"got {value}"
+                )
 
     # ------------------------------------------------------------------ #
     # Links to the abstract model
@@ -145,7 +156,7 @@ class DeviceConfig:
         return replace(self, **kwargs)
 
     # ------------------------------------------------------------------ #
-    # Serialisation and hashing (used by experiment specs and caches)
+    # Serialisation (used by experiment specs and caches)
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
         """All configuration fields as a plain JSON-serialisable dict."""
@@ -158,18 +169,6 @@ class DeviceConfig:
             "DeviceConfig", data, (f.name for f in fields(cls))
         )
         return cls(**dict(data))
-
-    def config_hash(self) -> str:
-        """Stable short hash of the configuration.
-
-        Derived from the canonical JSON of every field, so two configs hash
-        equal exactly when all their fields are equal — across processes and
-        interpreter runs (unlike the built-in ``hash``).  Convenience for
-        external stores keying on a device; experiment specs embed the full
-        config dict in their own hash instead of calling this.
-        """
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     # ------------------------------------------------------------------ #
     # Named configurations

@@ -269,13 +269,6 @@ class SharedMemory:
         except KeyError as exc:
             raise AllocationError(f"no shared array named {name!r}") from exc
 
-    def offset_of(self, name: str) -> int:
-        """Word offset of a shared allocation inside the MP's shared memory."""
-        try:
-            return self._arrays[name][0]
-        except KeyError as exc:
-            raise AllocationError(f"no shared array named {name!r}") from exc
-
     def conflict_degree(self, name: str, indices: np.ndarray) -> int:
         """Bank-conflict serialisation degree of a warp access to ``name[indices]``."""
         offset, data = self._arrays.get(name, (None, None))

@@ -10,7 +10,6 @@ though their *timing* models differ.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.occupancy import blocks_per_multiprocessor, wave_count
@@ -85,7 +84,3 @@ class BlockScheduler:
             shared_words_per_block=float(shared_words_per_block),
             hardware_block_limit=self.config.max_blocks_per_sm,
         )
-
-    def waves_for(self, num_blocks: int, shared_words_per_block: int) -> int:
-        """Convenience wrapper returning only the wave count."""
-        return self.plan(num_blocks, shared_words_per_block).waves

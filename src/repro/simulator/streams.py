@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.transfer import TransferDirection
 from repro.simulator.timing import KernelTiming
@@ -103,11 +102,6 @@ class Stream:
     def last_op(self) -> Optional[StreamOp]:
         """The most recently submitted operation, or ``None`` when empty."""
         return self._last
-
-    @property
-    def ready_s(self) -> float:
-        """Earliest time the next operation on this stream may start."""
-        return 0.0 if self._last is None else self._last.end_s
 
 
 class StreamTimeline:
@@ -276,12 +270,6 @@ class StreamTimeline:
         """Time recovered by overlap: serial sum minus makespan."""
         return self.serial_time_s - self.makespan_s
 
-    def busy_time_s(self, engine: str) -> float:
-        """Total busy seconds of one engine (``h2d``/``compute``/``d2h``/...)."""
-        return ordered_sum(
-            op.duration_s for op in self._ops if op.engine == engine
-        )
-
     def engine_busy_times(self) -> Dict[str, float]:
         """Busy seconds per engine, for every engine that ran something."""
         out: Dict[str, float] = {}
@@ -317,29 +305,4 @@ class StreamTimeline:
                 + (f"  [{op.details}]" if op.details else "")
             )
         return "\n".join(lines)
-
-
-def pipeline_makespan(stage_chunks: Iterable[Sequence[float]]) -> float:
-    """Makespan of a chunked linear pipeline, without building a timeline.
-
-    ``stage_chunks`` yields, per chunk, the durations of its successive
-    stages (e.g. ``(h2d, kernel, d2h)``); every stage runs on its own
-    dedicated engine in chunk order.  This is the analytic counterpart of
-    submitting each chunk to its own stream of a :class:`StreamTimeline` —
-    useful for closed-form checks against the cost model.
-    """
-    engine_free: List[float] = []
-    makespan = 0.0
-    for chunks in stage_chunks:
-        ready = 0.0
-        for stage_index, duration in enumerate(chunks):
-            if duration < 0:
-                raise ValueError("stage durations must be >= 0")
-            while stage_index >= len(engine_free):
-                engine_free.append(0.0)
-            start = max(ready, engine_free[stage_index])
-            ready = start + duration
-            engine_free[stage_index] = ready
-        makespan = max(makespan, ready)
-    return makespan
 

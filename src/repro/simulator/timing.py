@@ -232,22 +232,6 @@ class KernelTimingGrid:
         """Device time plus host-side launch overhead, per launch."""
         return self.device_time_s + self.launch_overhead_s
 
-    @property
-    def limiting_factors(self) -> np.ndarray:
-        """Which bound dominated each launch's wave time.
-
-        Replicates the scalar tie order (first maximum wins in dict order:
-        issue, then latency, then bandwidth).
-        """
-        issue = self.issue_bound_cycles
-        latency = self.latency_bound_cycles
-        bandwidth = self.bandwidth_bound_cycles
-        return np.where(
-            (issue >= latency) & (issue >= bandwidth),
-            "issue",
-            np.where(latency >= bandwidth, "latency", "bandwidth"),
-        )
-
 
 def kernel_timing_grid(
     config: DeviceConfig,

@@ -120,10 +120,10 @@ class TransferEngine:
     ) -> float:
         """Duration in seconds of a transfer of ``words`` whole words.
 
-        A zero-word transfer is a free marker — no DMA is set up and no
-        latency is paid — matching the cost model's zero-word-event
-        semantics (:class:`repro.core.transfer.TransferEvent`), so the
-        simulator and the Boyer model agree operation for operation.
+        A zero-word transfer is a free marker — no DMA is set up, no
+        latency is paid and it is not a transaction.  The cost model charges
+        a zero-word transfer statement the same way, so the simulator and
+        the Boyer model agree operation for operation.
         """
         words = validate_word_count(words)
         if words == 0:
@@ -183,9 +183,8 @@ class TransferEngine:
     def transaction_count(self, direction: TransferDirection = None) -> int:
         """Number of transfer transactions performed.
 
-        Zero-word records are free markers, not transactions (matching
-        :class:`repro.core.transfer.TransferEvent` and
-        :class:`~repro.core.transfer.TransferPlan`), so they are excluded.
+        Zero-word records are free markers, not transactions, as in the
+        cost model, so they are excluded.
         """
         return sum(
             1 for r in self.records

@@ -5,8 +5,6 @@ model, the simulator and the experiment harness:
 
 * :mod:`repro.utils.validation` -- argument-checking helpers with consistent
   error messages.
-* :mod:`repro.utils.units` -- conversions between cycles, seconds, words and
-  bytes for a given clock rate / word size.
 * :mod:`repro.utils.stats` -- series normalisation, relative errors and the
   "capture fraction" statistics reported in Section IV-D of the paper.
 * :mod:`repro.utils.numerics` -- the blessed numeric idioms (``ceil_div``,
@@ -23,18 +21,10 @@ from repro.utils.stats import (
     relative_error,
     transfer_proportion,
 )
-from repro.utils.units import (
-    BYTES_PER_WORD,
-    bytes_to_words,
-    cycles_to_seconds,
-    seconds_to_cycles,
-    words_to_bytes,
-)
 from repro.utils.validation import (
     ensure_in_range,
     ensure_positive,
     ensure_positive_int,
-    ensure_power_of_two,
 )
 
 __all__ = [
@@ -45,13 +35,7 @@ __all__ = [
     "normalise_series",
     "relative_error",
     "transfer_proportion",
-    "BYTES_PER_WORD",
-    "bytes_to_words",
-    "cycles_to_seconds",
-    "seconds_to_cycles",
-    "words_to_bytes",
     "ensure_in_range",
     "ensure_positive",
     "ensure_positive_int",
-    "ensure_power_of_two",
 ]

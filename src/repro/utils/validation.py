@@ -64,7 +64,7 @@ def ensure_positive(value: float, name: str) -> float:
             raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
-    return float(value)
+    return value if type(value) is float else _as_float(value, name)
 
 
 def ensure_non_negative(value: float, name: str) -> float:
@@ -74,7 +74,17 @@ def ensure_non_negative(value: float, name: str) -> float:
             raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return float(value)
+    return value if type(value) is float else _as_float(value, name)
+
+
+def _as_float(value: float, name: str) -> float:
+    """``float(value)``; an integer too large for a float is a ValueError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must fit in a float, got {value!r}"
+        ) from None
 
 
 def ensure_positive_int(value: int, name: str) -> int:
@@ -124,20 +134,3 @@ def ensure_in_range(
             raise ValueError(f"{name} must be < {high}, got {value!r}")
     return float(value)
 
-
-def ensure_power_of_two(value: int, name: str) -> int:
-    """Return ``value`` if it is a positive power of two."""
-    value = ensure_positive_int(value, name)
-    if value & (value - 1) != 0:
-        raise ValueError(f"{name} must be a power of two, got {value!r}")
-    return value
-
-
-def ensure_divides(divisor: int, dividend: int, name: str) -> None:
-    """Raise :class:`ValueError` unless ``divisor`` divides ``dividend``."""
-    divisor = ensure_positive_int(divisor, f"{name} divisor")
-    dividend = ensure_positive_int(dividend, f"{name} dividend")
-    if dividend % divisor != 0:
-        raise ValueError(
-            f"{name}: {divisor} does not divide {dividend} evenly"
-        )

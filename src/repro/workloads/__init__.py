@@ -1,12 +1,5 @@
-"""Workload generators and the paper's parameter sweeps."""
+"""The paper's parameter sweeps."""
 
-from repro.workloads.generators import (
-    random_binary_vector,
-    random_csr_matrix,
-    random_int_vector,
-    random_square_matrix,
-    transfer_size_sweep,
-)
 from repro.workloads.sweeps import (
     MATRIX_MULTIPLICATION_SMALL,
     MATRIX_MULTIPLICATION_SWEEP,
@@ -24,11 +17,6 @@ from repro.workloads.sweeps import (
 )
 
 __all__ = [
-    "random_binary_vector",
-    "random_csr_matrix",
-    "random_int_vector",
-    "random_square_matrix",
-    "transfer_size_sweep",
     "MATRIX_MULTIPLICATION_SMALL",
     "MATRIX_MULTIPLICATION_SWEEP",
     "PAPER_SWEEPS",

@@ -31,12 +31,7 @@ from repro.core.occupancy import (
     wave_count_grid,
 )
 from repro.core.presets import GTX_1080, GTX_650, GTX_980, TESLA_K40
-from repro.core.transfer import (
-    BoyerTransferModel,
-    TransferDirection,
-    TransferEvent,
-    TransferPlan,
-)
+from repro.core.transfer import BoyerTransferModel
 
 
 def simple_metrics(time=10.0, io=4.0, inward=100.0, outward=50.0,
@@ -81,66 +76,6 @@ class TestBoyerTransferModel:
     def test_cost_monotone_in_words(self, alpha, beta, transactions, words):
         model = BoyerTransferModel(alpha=alpha, beta=beta)
         assert model.cost(words + 1, transactions) >= model.cost(words, transactions)
-
-
-class TestTransferEvents:
-    def test_positive_word_event_charges_one_transaction(self):
-        model = BoyerTransferModel(alpha=1e-4, beta=1e-6)
-        events = [TransferEvent(TransferDirection.HOST_TO_DEVICE, 100)]
-        assert model.events_cost(events) == pytest.approx(1e-4 + 100 * 1e-6)
-
-    def test_zero_word_events_are_free_markers(self):
-        model = BoyerTransferModel(alpha=1e-4, beta=1e-6)
-        marker = TransferEvent(TransferDirection.HOST_TO_DEVICE, 0)
-        assert marker.is_marker
-        assert model.events_cost([marker]) == 0.0
-        # Markers do not change the cost of a mixed list either.
-        real = TransferEvent(TransferDirection.DEVICE_TO_HOST, 50)
-        assert model.events_cost([marker, real]) == model.events_cost([real])
-
-    def test_events_cost_agrees_with_plan_transactions(self):
-        model = BoyerTransferModel(alpha=1e-4, beta=1e-6)
-        plan = TransferPlan.from_events([
-            TransferEvent(TransferDirection.HOST_TO_DEVICE, 100, "a"),
-            TransferEvent(TransferDirection.HOST_TO_DEVICE, 0, "marker"),
-            TransferEvent(TransferDirection.DEVICE_TO_HOST, 50, "c"),
-        ])
-        from_counts = model.cost(
-            plan.inward_words, plan.inward_transactions
-        ) + model.cost(plan.outward_words, plan.outward_transactions)
-        assert model.events_cost(plan.events) == pytest.approx(from_counts)
-
-    def test_plan_transactions_exclude_markers(self):
-        plan = TransferPlan.from_events([
-            TransferEvent(TransferDirection.HOST_TO_DEVICE, 100),
-            TransferEvent(TransferDirection.HOST_TO_DEVICE, 0),
-            TransferEvent(TransferDirection.DEVICE_TO_HOST, 0),
-        ])
-        assert plan.inward_transactions == 1
-        assert plan.outward_transactions == 0
-        # Word totals still include every event (markers add nothing).
-        assert plan.inward_words == 100
-        assert plan.outward_words == 0
-
-
-class TestTransferPlan:
-    def test_plan_aggregates(self):
-        plan = TransferPlan.from_events([
-            TransferEvent(TransferDirection.HOST_TO_DEVICE, 100, "a"),
-            TransferEvent(TransferDirection.HOST_TO_DEVICE, 200, "b"),
-            TransferEvent(TransferDirection.DEVICE_TO_HOST, 50, "c"),
-        ])
-        assert plan.inward_words == 300
-        assert plan.outward_words == 50
-        assert plan.inward_transactions == 2
-        assert plan.outward_transactions == 1
-        assert plan.total_words() == 350
-
-    def test_event_validation(self):
-        with pytest.raises(ValueError):
-            TransferEvent(TransferDirection.HOST_TO_DEVICE, -1)
-        with pytest.raises(TypeError):
-            TransferEvent("inward", 1)
 
 
 class TestOccupancy:

@@ -20,13 +20,6 @@ from repro.experiments import (
     table1,
 )
 from repro.workloads import PAPER_SWEEPS, SMALL_SWEEPS, Sweep, sweep_for
-from repro.workloads.generators import (
-    random_binary_vector,
-    random_csr_matrix,
-    random_int_vector,
-    random_square_matrix,
-    transfer_size_sweep,
-)
 
 
 @pytest.fixture(scope="module")
@@ -66,21 +59,6 @@ class TestWorkloads:
             Sweep("bad", [3, 2, 1])
         with pytest.raises(ValueError):
             Sweep("bad", [])
-
-    def test_generators_are_deterministic(self):
-        assert np.array_equal(random_int_vector(100, seed=7), random_int_vector(100, seed=7))
-        assert np.array_equal(random_binary_vector(50, seed=1), random_binary_vector(50, seed=1))
-        assert set(np.unique(random_binary_vector(1000))) <= {0, 1}
-        assert random_square_matrix(8, seed=2).shape == (8, 8)
-
-    def test_csr_generator_structure(self):
-        csr = random_csr_matrix(100, nnz_per_row=4, seed=0)
-        assert csr["rowptr"][-1] == 400
-        assert csr["values"].size == csr["colidx"].size == 400
-
-    def test_transfer_size_sweep_monotone(self):
-        sizes = transfer_size_sweep(1 << 10, 1 << 20, points=8)
-        assert np.all(np.diff(sizes) > 0)
 
 
 class TestTable1:

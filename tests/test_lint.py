@@ -1,5 +1,5 @@
-"""Tests for ``repro.lint``: the engine, each rule, suppressions, baseline,
-the CLI, and the self-hosting run over the real package tree."""
+"""Tests for ``repro.lint``: the engine, each rule, suppressions, the CLI,
+and the self-hosting run over the real package tree."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
-    Finding,
     LintEngine,
     PackageContext,
     RULE_REGISTRY,
@@ -32,11 +30,10 @@ PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 TESTS_ROOT = REPO_ROOT / "tests"
 
 
-def findings_for(rule_id, files, tests=None, baseline=None):
+def findings_for(rule_id, files, tests=None):
     """Run one rule over in-memory sources and return its findings."""
     report = lint_sources(
-        files, tests=tests, rules=default_rules(only=[rule_id]),
-        baseline=baseline,
+        files, tests=tests, rules=default_rules(only=[rule_id])
     )
     return [f for f in report.findings if f.rule == rule_id]
 
@@ -622,7 +619,7 @@ class TestFromDictCoverage:
 
 
 # --------------------------------------------------------------------- #
-# Suppressions and baseline
+# Suppressions
 # --------------------------------------------------------------------- #
 class TestSuppressions:
     def test_same_line_suppression(self):
@@ -674,38 +671,6 @@ class TestSuppressions:
         assert table.lookup("AAA001", 1) == "two at once"
         assert table.lookup("BBB002", 1) == "two at once"
         assert table.lookup("CCC003", 1) is None
-
-
-class TestBaseline:
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        report = lint_sources(
-            {"pkg/config.py": DIC_VIOLATING},
-            rules=default_rules(only=["DIC001"]),
-        )
-        assert not report.ok
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(
-            Baseline.from_findings(report.findings).to_json(),
-            encoding="utf-8",
-        )
-        rerun = lint_sources(
-            {"pkg/config.py": DIC_VIOLATING},
-            rules=default_rules(only=["DIC001"]),
-            baseline=Baseline.load(baseline_file),
-        )
-        assert rerun.ok
-        assert all(f.baselined for f in rerun.findings)
-
-    def test_new_findings_still_fail(self):
-        baseline = Baseline.from_findings([
-            Finding(rule="DIC001", path="pkg/other.py", line=3, message="x")
-        ])
-        report = lint_sources(
-            {"pkg/config.py": DIC_VIOLATING},
-            rules=default_rules(only=["DIC001"]),
-            baseline=baseline,
-        )
-        assert not report.ok
 
 
 # --------------------------------------------------------------------- #

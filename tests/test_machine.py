@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.machine import ATGPUMachine, perfect_machine_for
+from repro.core.machine import ATGPUMachine
 from repro.core.metrics import (
     AlgorithmMetrics,
     CapacityError,
@@ -79,11 +79,6 @@ class TestATGPUMachine:
     def test_describe_mentions_parameters(self, machine):
         text = machine.describe()
         assert str(machine.p) in text and str(machine.G) in text
-
-    def test_perfect_machine_for(self):
-        machine = perfect_machine_for(threads=1000, b=32, M=1024, G=1 << 20)
-        assert machine.k == 32  # ceil(1000 / 32)
-        assert machine.b == 32
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64))
     def test_k_times_b_is_p(self, k, b):

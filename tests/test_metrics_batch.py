@@ -24,10 +24,11 @@ from repro.algorithms import (
     Stencil1D,
     VectorAddition,
 )
+from repro.algorithms.registry import all_algorithm_names, create
 from repro.core.batch import MetricsBatch
 from repro.core.metrics import CapacityError, round_arrays, size_vector
-from repro.core.presets import GTX_650, GTX_980
-from repro.experiments import ExperimentSpec
+from repro.core.presets import GTX_650, GTX_980, TESLA_K40
+from repro.experiments import ExperimentSpec, Session
 
 ALGORITHMS = [
     VectorAddition, Reduction, MatrixMultiplication, PrefixSum, Histogram,
@@ -182,6 +183,42 @@ class TestCapacityValidationParity:
         with pytest.raises(CapacityError, match="shared memory") as exc:
             batch.validate_against(GTX_650.machine)
         assert "at size 20 " in str(exc.value)
+
+
+#: Sizes past every preset's global memory, up to int64's maximum.
+HUGE_SIZES = {
+    "2**31": 2**31, "2**40": 2**40, "2**53+1": 2**53 + 1,
+    "2**62": 2**62, "2**63-1": 2**63 - 1,
+}
+
+
+class TestHugeSizesRaiseCapacityError:
+    """A size past the machine's memory raises the scalar path's
+    ``CapacityError`` on the batch path too, not the ``ValueError`` of an
+    int64 column that wrapped."""
+
+    @pytest.mark.parametrize(
+        "size", list(HUGE_SIZES.values()), ids=list(HUGE_SIZES)
+    )
+    @pytest.mark.parametrize("name", all_algorithm_names())
+    def test_scalar_and_batch_paths_raise_capacity_error(self, name, size):
+        with pytest.raises(CapacityError):
+            create(name).analyse(size)
+        with pytest.raises(CapacityError):
+            Session().run(ExperimentSpec(name, sizes=(size,)))
+
+    @pytest.mark.parametrize("preset,side", [
+        (GTX_650, 2**24 + 1), (GTX_650, GTX_650.machine.G),
+        (TESLA_K40, 3_100_000_000),
+    ], ids=["gtx650-2**24+1", "gtx650-G", "k40-3.1e9"])
+    def test_matrix_sides_up_to_g_are_priced_without_wrapping(
+        self, preset, side
+    ):
+        """Sides up to ``G`` pass the size check, so the side's cube and
+        square must not wrap before the capacity check names ``3n²``."""
+        expected = f"uses {3.0 * side * side:.0f} words"
+        with pytest.raises(CapacityError, match=expected):
+            MatrixMultiplication().predict_sweep([side], preset=preset)
 
 
 class TestFromRoundsStructure:

@@ -27,7 +27,6 @@ from repro.core.prediction import (
 from repro.core.presets import GTX_650, get_preset, preset_names
 from repro.core.transfer import TransferDirection
 from repro.simulator import DeviceConfig, TransferEngine
-from repro.workloads import transfer_size_sweep
 
 
 def linear_metrics_factory(machine: ATGPUMachine):
@@ -137,7 +136,9 @@ class TestCalibration:
 
     def test_transfer_calibration_recovers_the_simulated_link(self):
         engine = TransferEngine(DeviceConfig.gtx650())
-        words = transfer_size_sweep(1 << 12, 1 << 24, points=10)
+        words = np.unique(
+            np.geomspace(1 << 12, 1 << 24, 10).astype(np.int64)
+        )
         times = [
             engine.duration(int(n), TransferDirection.HOST_TO_DEVICE)
             for n in words

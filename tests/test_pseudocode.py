@@ -33,7 +33,6 @@ from repro.pseudocode import (
     analyse_program,
     global_var,
     host_var,
-    is_valid,
     render_program,
     scope_of_name,
     shared_var,
@@ -133,7 +132,8 @@ class TestValidation:
 
     def test_global_memory_limit_enforced(self, tiny_machine):
         program = _vecadd_program(n=100_000, b=tiny_machine.b)
-        assert not is_valid(program, tiny_machine)
+        with pytest.raises(ValidationError):
+            validate_program(program, tiny_machine)
 
     def test_nested_if_rejected(self):
         nested = If("outer", body=(If("inner", body=(Compute(),)),))

@@ -24,6 +24,7 @@ from repro.serving import (
     ServerOverloadedError,
     resolve_policy,
 )
+from repro.serving.policies import POLICIES as POLICY_REGISTRY
 from repro.serving.queue import MODES
 from repro.workloads.sweeps import dense_sweep
 
@@ -266,6 +267,49 @@ class TestLifecycleAndErrors:
         stats = server.stats()
         assert stats.failed == 1
         assert stats.completed == 1
+
+
+#: Requests ``submit`` refuses where they enter.  Accepted, ``None`` and a
+#: mapping failed with ``AttributeError``, a NaN deadline never expired,
+#: and an unhashable tenant killed the fair-share worker.
+BAD_SUBMISSIONS = {
+    "spec=None": ((None,), {}, TypeError),
+    "spec=mapping": (({"algorithm": "vector_addition"},), {}, TypeError),
+    "tenant=[]": ((tiny_spec(),), {"tenant": []}, TypeError),
+    "deadline_s=nan": ((tiny_spec(),), {"deadline_s": float("nan")},
+                       ValueError),
+}
+
+
+class TestSubmitBoundary:
+    @pytest.mark.parametrize("case", sorted(BAD_SUBMISSIONS))
+    @pytest.mark.parametrize("policy", sorted(POLICY_REGISTRY))
+    def test_bad_request_raises_at_submit_and_the_server_still_answers(
+        self, policy, case
+    ):
+        (spec,), kwargs, error = BAD_SUBMISSIONS[case]
+        with PredictionServer(policy=policy, workers=1) as server:
+            with pytest.raises(error):
+                server.submit(spec, **kwargs)
+            with pytest.raises(error):
+                server.submit_many([spec], **kwargs)
+            # A timeout, so a stalled worker fails the test, not hangs it.
+            answer = server.submit(tiny_spec(), mode="predict").result(
+                timeout=30
+            )
+        assert_predictions_identical(
+            answer, isolated_answer(tiny_spec(), "predict")
+        )
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_REGISTRY))
+    def test_a_never_started_server_closes_after_refusals(self, policy):
+        server = PredictionServer(policy=policy, workers=1)
+        for (spec,), kwargs, error in BAD_SUBMISSIONS.values():
+            with pytest.raises(error):
+                server.submit(spec, **kwargs)
+        pending = server.submit(tiny_spec())
+        server.close()
+        assert pending.cancelled()
 
 
 class TestAdmissionControl:

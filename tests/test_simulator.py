@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.transfer import TransferDirection
+from repro.experiments import ExperimentSpec
 from repro.simulator import (
     BlockContext,
     BlockScheduler,
@@ -148,6 +152,71 @@ class TestSharedMemory:
         shared = SharedMemory(64, 32)
         with pytest.raises(Exception):
             shared.get("_ghost")
+
+
+#: Values of no field's type, mixed into every field's strategy.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(-1, 2), max_size=2),
+)
+
+#: Per field: mostly valid values, near misses, out-of-range values, junk.
+CONFIG_FIELDS = {
+    f.name: st.one_of(
+        st.integers(1, 64), st.integers(-1, 2**70), st.just(10**30), JUNK,
+    ) if f.type == "int" else st.one_of(
+        st.floats(0.5, 1e12), st.floats(), st.just(10**400), JUNK,
+    )
+    for f in fields(DeviceConfig)
+}
+
+#: Fields that used to construct and then fail late or silently:
+#: ``clock_hz=inf`` collapsed kernel time to the launch overhead,
+#: ``warp_width=10**30`` failed deep in NumPy, and ``num_sms=10**30``
+#: made a 4,096-element vector addition take 2.1e23 s.
+CONFIG_BOUNDARY_CASES = {
+    "clock_hz=inf": {"clock_hz": float("inf")},
+    "warp_width=10**30": {"warp_width": 10**30},
+    "num_sms=10**30": {"num_sms": 10**30},
+    "h2d_bandwidth=10**400": {"h2d_bandwidth_bytes_per_s": 10**400},
+}
+
+
+def with_config_examples(test):
+    """Pin every boundary case as an explicit example of a ``payload`` test."""
+    for case in reversed(list(CONFIG_BOUNDARY_CASES.values())):
+        test = example(payload=case)(test)
+    return test
+
+
+class TestDeviceConfigBoundary:
+    """Bad config fields fail where the config is built, typed."""
+
+    @pytest.mark.parametrize(
+        "case", list(CONFIG_BOUNDARY_CASES.values()),
+        ids=list(CONFIG_BOUNDARY_CASES),
+    )
+    def test_each_boundary_case_raises_at_construction(self, case):
+        with pytest.raises((TypeError, ValueError)):
+            DeviceConfig(**case)
+        with pytest.raises((TypeError, ValueError)):
+            ExperimentSpec("vector_addition", device_config=case)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(payload=st.fixed_dictionaries({}, optional=CONFIG_FIELDS))
+    @with_config_examples
+    def test_from_dict_raises_only_typed_errors(self, payload):
+        try:
+            config = DeviceConfig.from_dict(payload)
+        except (TypeError, ValueError):
+            return
+        # What constructs realises a machine, round-trips and hashes.
+        config.abstract_machine()
+        rebuilt = DeviceConfig.from_dict(
+            json.loads(json.dumps(config.to_dict()))
+        )
+        assert rebuilt == config
+        assert {config: 1}[rebuilt] == 1
 
 
 class TestTransferEngine:

@@ -18,6 +18,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms import Reduction, VectorAddition
 from repro.algorithms.registry import all_algorithm_names, create
@@ -276,6 +277,99 @@ class TestTopologySerialisation:
         with pytest.raises(UnknownFieldError) as err:
             Topology.from_dict(bad_link)
         assert err.value.fields == ("lanes",)
+
+
+INF = float("inf")
+
+#: Values of no field's type, mixed into every field's strategy.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(-1, 2), max_size=2),
+)
+
+#: Per field: valid values, near misses and junk.
+SOCKETS = st.one_of(st.just(0), st.integers(-1, 2), JUNK)
+DEVICE_FIELDS = {
+    "preset": st.one_of(
+        st.none(), st.sampled_from(["gtx650", "gtx980", ""]), JUNK
+    ),
+    "hardware_block_limit": st.one_of(
+        st.none(), st.integers(-1, 2**64), JUNK
+    ),
+    "socket": SOCKETS,
+    "name": st.one_of(st.text(max_size=3), JUNK),
+}
+LINK_FIELDS = {
+    "kind": st.one_of(st.sampled_from(["host", "p2p", "nvlink"]), JUNK),
+    "socket": SOCKETS,
+    "contention": st.one_of(st.floats(0, 1), st.floats(), JUNK),
+    "alpha": st.one_of(st.none(), st.floats(0, 1e-3), st.floats(), JUNK),
+    "beta": st.one_of(st.none(), st.floats(0, 1e-3), st.floats(), JUNK),
+}
+TOPOLOGY_PAYLOADS = st.fixed_dictionaries({}, optional={
+    "devices": st.one_of(
+        st.lists(st.fixed_dictionaries({}, optional=DEVICE_FIELDS),
+                 min_size=1, max_size=2),
+        st.lists(st.just({}), max_size=1),
+        JUNK,
+    ),
+    "links": st.one_of(
+        st.lists(st.fixed_dictionaries({}, optional=LINK_FIELDS),
+                 min_size=1, max_size=2),
+        JUNK,
+    ),
+})
+
+#: Fields that used to construct and hash, then fail late or silently: a
+#: non-string preset broke ``atgpu-topo`` runs with an ``AttributeError``,
+#: and an infinite link cost predicted ``inf`` for every size.
+TOPOLOGY_BOUNDARY_CASES = {
+    "preset=-1": {"devices": [{"preset": -1}]},
+    "preset=nan": {"devices": [{"preset": float("nan")}]},
+    "name=[]": {"devices": [{"name": []}]},
+    "alpha=inf": {"links": [{"kind": "host", "alpha": INF}]},
+    "beta=inf": {"links": [{"kind": "host", "beta": INF}]},
+}
+
+
+def with_topology_examples(test):
+    """Pin every boundary case as an explicit example of a ``payload`` test."""
+    for case in reversed(list(TOPOLOGY_BOUNDARY_CASES.values())):
+        test = example(payload=case)(test)
+    return test
+
+
+class TestTopologyBoundary:
+    """Bad device and link fields fail where they are built, typed."""
+
+    @pytest.mark.parametrize(
+        "case", list(TOPOLOGY_BOUNDARY_CASES.values()),
+        ids=list(TOPOLOGY_BOUNDARY_CASES),
+    )
+    def test_each_boundary_case_raises_at_construction(self, case):
+        with pytest.raises((TypeError, ValueError)):
+            Topology.from_dict(case)
+        for device in case.get("devices", ()):
+            with pytest.raises((TypeError, ValueError)):
+                DeviceSpec(**device)
+        for link in case.get("links", ()):
+            with pytest.raises((TypeError, ValueError)):
+                LinkSpec(**link)
+        with pytest.raises((TypeError, ValueError)):
+            ExperimentSpec("vector_addition", topology=case)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(payload=TOPOLOGY_PAYLOADS)
+    @with_topology_examples
+    def test_from_dict_raises_only_typed_errors(self, payload):
+        try:
+            fleet = Topology.from_dict(payload)
+        except (TypeError, ValueError):
+            return
+        # What constructs round-trips and hashes.
+        assert Topology.from_json(fleet.to_json()) == fleet
+        assert {fleet: 1}[Topology.from_dict(fleet.to_dict())] == 1
+        assert len(fleet.topology_hash()) == 16
 
 
 class TestPlanShards:

@@ -25,23 +25,12 @@ from repro.utils.stats import (
     speedup_series,
     transfer_proportion,
 )
-from repro.utils.units import (
-    BYTES_PER_WORD,
-    bytes_to_words,
-    cycles_to_seconds,
-    milliseconds_to_seconds,
-    seconds_to_cycles,
-    seconds_to_milliseconds,
-    words_to_bytes,
-)
 from repro.utils.validation import (
-    ensure_divides,
     ensure_in_range,
     ensure_non_negative,
     ensure_non_negative_int,
     ensure_positive,
     ensure_positive_int,
-    ensure_power_of_two,
 )
 
 
@@ -85,24 +74,6 @@ class TestValidation:
     def test_ensure_in_range_rejects_above(self):
         with pytest.raises(ValueError):
             ensure_in_range(3.0, "x", high=2.0)
-
-    def test_ensure_power_of_two(self):
-        assert ensure_power_of_two(64, "x") == 64
-
-    def test_ensure_power_of_two_rejects_non_power(self):
-        with pytest.raises(ValueError):
-            ensure_power_of_two(48, "x")
-
-    def test_ensure_divides(self):
-        ensure_divides(8, 64, "blocks")
-
-    def test_ensure_divides_rejects(self):
-        with pytest.raises(ValueError):
-            ensure_divides(7, 64, "blocks")
-
-    @given(st.integers(min_value=0, max_value=20))
-    def test_power_of_two_property(self, exponent):
-        assert ensure_power_of_two(1 << exponent, "x") == 1 << exponent
 
 
 NAN = float("nan")
@@ -150,27 +121,6 @@ def test_nan_rejected_at_construction(case):
     build, field = NAN_CONSTRUCTORS[case]
     with pytest.raises(ValueError, match=field):
         build()
-
-
-class TestUnits:
-    def test_words_to_bytes_default_word(self):
-        assert words_to_bytes(10) == 10 * BYTES_PER_WORD
-
-    def test_bytes_to_words_roundtrip(self):
-        assert bytes_to_words(words_to_bytes(123)) == 123
-
-    def test_cycles_to_seconds(self):
-        assert cycles_to_seconds(1e9, 1e9) == 1.0
-
-    def test_seconds_to_cycles_roundtrip(self):
-        assert seconds_to_cycles(cycles_to_seconds(500, 2e6), 2e6) == pytest.approx(500)
-
-    def test_milliseconds_roundtrip(self):
-        assert milliseconds_to_seconds(seconds_to_milliseconds(0.25)) == pytest.approx(0.25)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            words_to_bytes(-1)
 
 
 class TestStats:
