@@ -15,14 +15,7 @@ from __future__ import annotations
 
 from repro.algorithms import MatrixMultiplication, Reduction, VectorAddition
 from repro.core.presets import PRESETS
-from repro.simulator import DeviceConfig
-
-#: Simulator configurations matching a subset of the cost-model presets.
-SIMULATOR_CONFIGS = {
-    "gtx650": DeviceConfig.gtx650,
-    "gtx980": DeviceConfig.gtx980,
-    "k40": DeviceConfig.tesla_k40,
-}
+from repro.simulator import SIMULATOR_CONFIGS
 
 CASES = [
     (VectorAddition(), 4_000_000),

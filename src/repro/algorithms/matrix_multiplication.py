@@ -16,6 +16,12 @@ The paper's analysis:
 
 This is the paper's example where data transfer does *not* dominate, so the
 SWGPU (kernel-only) prediction is already adequate.
+
+The simulator kernel executes the statements of
+:meth:`MatrixMultiplication.build_pseudocode` one for one: each
+``GlobalToShared`` is one :meth:`~repro.simulator.kernel.BlockContext.global_to_shared`
+call that stages a whole tile, and the closing ``SharedToGlobal`` one
+:meth:`~repro.simulator.kernel.BlockContext.shared_to_global` call.
 """
 
 from __future__ import annotations
@@ -82,27 +88,25 @@ class MatrixMultiplicationKernel(KernelProgram):
         return 3 * self.tile * self.tile
 
     def run_block(self, ctx: BlockContext) -> None:
+        """One output tile: per k-tile two ``GlobalToShared``, a barrier,
+        the compute and a barrier, then one ``SharedToGlobal``."""
         n, tile = self.n, self.tile
-        tiles = self.tiles_per_side
-        tile_row = ctx.block_index // tiles
-        tile_col = ctx.block_index % tiles
-        lanes = np.arange(tile)
+        tile_row, tile_col = divmod(ctx.block_index, self.tiles_per_side)
+        # Row r, lane l of a tile: word r·n + l of the matrix past the
+        # tile's corner, and word r·b + l of its shared copy.
+        matrix_rows = np.arange(tile)[:, None] * n + np.arange(tile)
+        tile_rows = np.arange(tile * tile).reshape(tile, tile)
         shared_a = ctx.shared_alloc("_ta", tile * tile)
         shared_b = ctx.shared_alloc("_tb", tile * tile)
         shared_c = ctx.shared_alloc("_tc", tile * tile)
         acc = np.zeros((tile, tile), dtype=np.float64)
-        for kt in range(tiles):
-            # Stage the A and B tiles row by row (one coalesced read per row).
-            for r in range(tile):
-                a_row = (tile_row * tile + r) * n + kt * tile + lanes
-                values = ctx.global_read("ma", a_row)
-                ctx.shared_write("_ta", r * tile + lanes, values)
-                shared_a[r * tile + lanes] = values
-            for r in range(tile):
-                b_row = (kt * tile + r) * n + tile_col * tile + lanes
-                values = ctx.global_read("mb", b_row)
-                ctx.shared_write("_tb", r * tile + lanes, values)
-                shared_b[r * tile + lanes] = values
+        for kt in range(self.tiles_per_side):
+            ctx.global_to_shared(
+                "_ta", "ma", tile_rows, matrix_rows + (tile_row * n + kt) * tile
+            )
+            ctx.global_to_shared(
+                "_tb", "mb", tile_rows, matrix_rows + (kt * n + tile_col) * tile
+            )
             ctx.barrier()
             # Each of the b cores accumulates one column of the output tile:
             # b·b multiply-adds per core, issued as b·b warp instructions.
@@ -110,10 +114,9 @@ class MatrixMultiplicationKernel(KernelProgram):
             acc += shared_a.reshape(tile, tile) @ shared_b.reshape(tile, tile)
             ctx.barrier()
         shared_c[:] = acc.reshape(-1)
-        for r in range(tile):
-            ctx.shared_read("_tc", r * tile + lanes)
-            c_row = (tile_row * tile + r) * n + tile_col * tile + lanes
-            ctx.global_write("mc", c_row, shared_c[r * tile + lanes])
+        ctx.shared_to_global(
+            "mc", "_tc", matrix_rows + (tile_row * n + tile_col) * tile, tile_rows
+        )
 
     def vectorised_result(self, arrays: Dict[str, DeviceArray]) -> None:
         n = self.n

@@ -27,6 +27,7 @@ from repro.core.prediction import (
     SweepPrediction,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.simulator.config import DeviceConfig
 from repro.utils.validation import reject_unknown_fields
 
 
@@ -167,10 +168,15 @@ class Result:
     # Serialisation
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        """The result (spec included) as a JSON-serialisable dictionary."""
+        """The result (spec included) as a JSON-serialisable dictionary.
+
+        ``simulator`` names the configuration the observed series were
+        simulated on: the one the spec resolves to.
+        """
         return {
             "spec": self.spec.to_dict(),
             "spec_hash": self.spec.spec_hash(),
+            "simulator": self.spec.resolved_device_config().to_dict(),
             "sizes": list(self.sizes),
             "predicted": {k: list(v) for k, v in self.predicted.items()},
             "predicted_transfer_proportions": list(
@@ -187,12 +193,24 @@ class Result:
 
         ``spec_hash`` is accepted (``to_dict`` emits it as a convenience
         for external consumers) but recomputed from the spec, never
-        trusted; any other unknown key is rejected.
+        trusted; any other unknown key is rejected.  ``simulator`` must
+        name the configuration the spec resolves to: observations stored
+        without one (as before specs were observed on their preset's
+        configuration) or from another one raise :class:`ValueError`,
+        which the session's disk store reads as a miss.
         """
-        known = [f.name for f in fields(cls)] + ["spec_hash"]
+        known = [f.name for f in fields(cls)] + ["spec_hash", "simulator"]
         reject_unknown_fields("Result", data, known)
+        spec = ExperimentSpec.from_dict(data["spec"])
+        if "simulator" not in data or DeviceConfig.from_dict(
+            data["simulator"]
+        ) != spec.resolved_device_config():
+            raise ValueError(
+                "the stored observations were not simulated on the "
+                "configuration the spec resolves to"
+            )
         return cls(
-            spec=ExperimentSpec.from_dict(data["spec"]),
+            spec=spec,
             sizes=[int(n) for n in data["sizes"]],
             predicted={
                 str(k): [float(x) for x in v]

@@ -311,9 +311,12 @@ def observe_spec(spec: ExperimentSpec) -> SweepObservation:
     """Simulate one spec's sweep: the observed side of its result.
 
     The only step an engine maps, and a module-level function so process
-    workers can pickle it.  It reads no runtime registry (algorithms and
-    sweeps are static, and the device configuration travels in the spec),
-    so a worker simulates exactly what the calling process would.
+    workers can pickle it.  It reads no runtime registry (algorithms,
+    sweeps and the presets' simulator configurations are static, and any
+    other device configuration travels in the spec), so a worker simulates
+    exactly what the calling process would.  A spec whose preset has no
+    simulator configuration and that gives no ``device_config`` raises
+    :class:`ValueError` here (:meth:`ExperimentSpec.resolved_device_config`).
     """
     algorithm = create(spec.algorithm)
     return algorithm.observe_sweep(
@@ -398,7 +401,9 @@ class ProcessPoolEngine:
     .. note::
         Simulation reads no runtime registry, so specs naming backends or
         presets registered at run time work under the ``fork`` and the
-        ``spawn`` start method alike: the workers never resolve them.
+        ``spawn`` start method alike: the workers never resolve them.  A
+        preset registered at run time has no simulator configuration, so
+        its specs are observed only when they give a ``device_config``.
         ``fn`` must be picklable (a module-level function).
     """
 

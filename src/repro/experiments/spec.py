@@ -33,7 +33,7 @@ from repro.core.backends import (
 from repro.core.metrics import validate_sizes
 from repro.core.presets import DEFAULT_PRESET, GPUPreset, get_preset
 from repro.core.topology import Topology
-from repro.simulator.config import DeviceConfig
+from repro.simulator.config import SIMULATOR_CONFIGS, DeviceConfig
 from repro.utils.validation import (
     ensure_non_negative_int,
     reject_unknown_fields,
@@ -69,8 +69,8 @@ class ExperimentSpec:
         :func:`repro.core.presets.get_preset`).
     device_config:
         Simulator configuration for the observation side (a plain mapping
-        is coerced); defaults to the GTX-650-like device matching the
-        default preset.
+        is coerced); defaults to the configuration of ``preset``
+        (:meth:`resolved_device_config`).
     seed:
         Seed for the workload generators, a non-negative integer.
     backends:
@@ -184,8 +184,24 @@ class ExperimentSpec:
         return get_preset(self.preset)
 
     def resolved_device_config(self) -> DeviceConfig:
-        """The simulator configuration (default: the GTX-650 device)."""
-        return self.device_config or DeviceConfig.gtx650()
+        """The simulator configuration the spec is observed on.
+
+        ``device_config`` when given, else the configuration of the preset
+        the spec names (:data:`~repro.simulator.config.SIMULATOR_CONFIGS`),
+        so the prediction and the observation describe the same GPU.  A
+        preset without one (``gtx1080``, or any preset registered at run
+        time) raises :class:`ValueError`: such a spec can be predicted but
+        is observed only on an explicit ``device_config``.
+        """
+        if self.device_config is not None:
+            return self.device_config
+        config = SIMULATOR_CONFIGS.get(self.preset)
+        if config is None:
+            raise ValueError(
+                f"preset {self.preset!r} has no simulator configuration; "
+                "pass device_config to observe this spec"
+            )
+        return config()
 
     def topology_key(self) -> str:
         """Topology discriminator for caching/coalescing keys.

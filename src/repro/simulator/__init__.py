@@ -12,7 +12,7 @@ running times against which the analytical ATGPU/SWGPU predictions are
 compared, playing the role of the GTX 650 in the paper's evaluation.
 """
 
-from repro.simulator.config import WORD_BYTES, DeviceConfig
+from repro.simulator.config import SIMULATOR_CONFIGS, WORD_BYTES, DeviceConfig
 from repro.simulator.device import GPUDevice, LaunchRecord
 from repro.simulator.device_pool import DevicePool
 from repro.simulator.errors import (
@@ -53,6 +53,7 @@ from repro.simulator.trace import (
 from repro.simulator.transfer_engine import TransferEngine, TransferRecord
 
 __all__ = [
+    "SIMULATOR_CONFIGS",
     "WORD_BYTES",
     "DeviceConfig",
     "GPUDevice",

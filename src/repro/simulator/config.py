@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping
 
 from repro.core.machine import ATGPUMachine
 from repro.core.metrics import MAX_SIZE
@@ -232,3 +232,13 @@ class DeviceConfig:
             d2h_bandwidth_bytes_per_s=1.0e8,
             functional_block_limit=1 << 16,
         )
+
+
+#: The simulator configuration of each built-in cost-model preset that has
+#: one, by preset name.  It is static, so a spawned worker resolves a spec's
+#: configuration without any registry that grows at run time.
+SIMULATOR_CONFIGS: Mapping[str, Callable[[], DeviceConfig]] = {
+    "gtx650": DeviceConfig.gtx650,
+    "gtx980": DeviceConfig.gtx980,
+    "k40": DeviceConfig.tesla_k40,
+}

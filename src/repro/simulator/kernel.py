@@ -12,6 +12,15 @@ manipulates data exclusively through a :class:`BlockContext`, which
   behaviour, compute instructions, barriers) for the timing engine, and
 * enforces the shared-memory capacity limit ``M``.
 
+Its data operations come at two grains.  The per-warp calls
+(``global_read``, ``global_write``, ``shared_read``, ``shared_write``)
+move one warp access each.  The staging calls ``global_to_shared`` and
+``shared_to_global`` execute the pseudocode's ``GlobalToShared`` and
+``SharedToGlobal`` statements: one call moves a ``rows × lanes`` tile, one
+warp access per row, and traces it as one
+:class:`~repro.simulator.trace.RowRun` whose records, errors and data equal
+those of the per-warp loop over its rows.
+
 Kernels whose grids are too large to execute block-by-block in pure Python
 may additionally provide :meth:`KernelProgram.vectorised_result`, a NumPy
 implementation of the same semantics used by the device to fill in the
@@ -27,15 +36,44 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simulator.config import DeviceConfig
-from repro.simulator.errors import LaunchError
+from repro.simulator.errors import InvalidAccessError, LaunchError
 from repro.simulator.memory import (
     DeviceArray,
     GlobalMemory,
     SharedMemory,
-    bank_conflict_degree,
     coalesced_transactions,
 )
-from repro.simulator.trace import BlockTrace, InstructionKind, InstructionRecord
+from repro.simulator.trace import (
+    BlockTrace,
+    InstructionKind,
+    InstructionRecord,
+    RowRun,
+)
+
+
+def _check_rows(idx: np.ndarray, length: int, what: str) -> None:
+    """Raise :class:`InvalidAccessError` unless every index is in ``[0, length)``."""
+    if idx.size and (idx.min() < 0 or idx.max() >= length):
+        raise InvalidAccessError(
+            f"indices out of range for {what} (length {length})"
+        )
+
+
+def _assign_in_order(target: np.ndarray, idx: np.ndarray,
+                     values: np.ndarray) -> None:
+    """``target[idx] = values`` as writes of one row after another leave it.
+
+    Of repeated indices the last in row-major order wins.  NumPy does not
+    say which of repeated fancy-index assignments wins, so each index is
+    assigned once: a stable sort puts an index's writes in order, and the
+    last of each is kept.
+    """
+    flat = idx.ravel()
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    last = np.ones(flat.size, dtype=bool)
+    last[:-1] = ordered[1:] != ordered[:-1]
+    target[ordered[last]] = values.ravel()[order[last]]
 
 
 class BlockContext:
@@ -163,6 +201,105 @@ class BlockContext:
             label=name,
         ))
         self._shared.get(name)[idx] = values
+
+    # ------------------------------------------------------------------ #
+    # Tile staging (the pseudocode's ``GlobalToShared``/``SharedToGlobal``)
+    # ------------------------------------------------------------------ #
+    def global_to_shared(
+        self,
+        shared_name: str,
+        global_name: str,
+        shared_rows: np.ndarray,
+        global_rows: np.ndarray,
+    ) -> None:
+        """Stage a tile: ``shared_name[shared_rows] ← global_name[global_rows]``.
+
+        Both index arrays are ``rows × lanes``.  Row ``r`` is traced as
+        :meth:`global_read` of ``global_rows[r]`` followed by
+        :meth:`shared_write` to ``shared_rows[r]`` (see :meth:`_stage`).
+        """
+        self._stage(True, shared_name, global_name, shared_rows, global_rows)
+
+    def shared_to_global(
+        self,
+        global_name: str,
+        shared_name: str,
+        global_rows: np.ndarray,
+        shared_rows: np.ndarray,
+    ) -> None:
+        """Write a tile back: ``global_name[global_rows] ← shared_name[shared_rows]``.
+
+        Row ``r`` is traced as :meth:`shared_read` of ``shared_rows[r]``
+        followed by :meth:`global_write` to ``global_rows[r]``.
+        """
+        self._stage(False, shared_name, global_name, shared_rows, global_rows)
+
+    def _stage(
+        self,
+        to_shared: bool,
+        shared_name: str,
+        global_name: str,
+        shared_rows: np.ndarray,
+        global_rows: np.ndarray,
+    ) -> None:
+        """Move ``rows × lanes`` words between global and shared memory.
+
+        One NumPy pass counts every row's coalesced transactions and
+        bank-conflict degree, and one :class:`RowRun` traces all rows.
+        Records, errors and data equal those of the per-warp loop over the
+        rows.  Errors come in the loop's order: the read side's name and
+        its row 0, then the written side's name, then any other row.  All
+        rows are checked before any data moves; a block that raises is
+        discarded, so the loop's partial writes cannot be observed.
+        """
+        shared_idx = np.asarray(shared_rows, dtype=np.int64)
+        global_idx = np.asarray(global_rows, dtype=np.int64)
+        if shared_idx.ndim != 2 or shared_idx.shape != global_idx.shape:
+            raise ValueError(
+                "staging takes shared and global indices of one rows × lanes "
+                f"shape, got {shared_idx.shape} and {global_idx.shape}"
+            )
+        rows, lanes = shared_idx.shape
+        if rows == 0:
+            return
+        global_what = f"device array {global_name!r}"
+        shared_what = f"shared array {shared_name!r}"
+        if to_shared:
+            array = self.array(global_name)
+            _check_rows(global_idx[0], array.length, global_what)
+            offset, shared = self._shared.region(shared_name)
+        else:
+            offset, shared = self._shared.region(shared_name)
+            _check_rows(shared_idx[0], shared.size, shared_what)
+            array = self.array(global_name)
+        _check_rows(global_idx, array.length, global_what)
+        _check_rows(shared_idx, shared.size, shared_what)
+
+        if lanes:
+            blocks = np.sort(
+                (array.offset + global_idx) // self._global_memory.words_per_block,
+                axis=1,
+            )
+            transactions = 1 + (blocks[:, 1:] != blocks[:, :-1]).sum(axis=1)
+            # Distinct words per row, then the most of them in one bank.
+            words = np.sort(offset + shared_idx, axis=1)
+            distinct = np.ones(words.shape, dtype=bool)
+            distinct[:, 1:] = words[:, 1:] != words[:, :-1]
+            banks = self._shared.num_banks
+            row_banks = np.arange(rows)[:, None] * banks + words % banks
+            degrees = np.bincount(
+                row_banks[distinct], minlength=rows * banks
+            ).reshape(rows, banks).max(axis=1)
+        else:
+            transactions = np.zeros(rows, dtype=np.int64)
+            degrees = np.ones(rows, dtype=np.int64)
+        if to_shared:
+            _assign_in_order(shared, shared_idx, array.data[global_idx])
+        else:
+            _assign_in_order(array.data, global_idx, shared[shared_idx])
+        self.trace.append_rows(RowRun(
+            to_shared, global_name, shared_name, lanes, transactions, degrees,
+        ))
 
     # ------------------------------------------------------------------ #
     # Compute, divergence and synchronisation

@@ -1,17 +1,22 @@
 """Execution traces and counters produced by the simulator.
 
-Every block execution yields a :class:`BlockTrace` -- the ordered list of
-warp-level instruction records together with aggregate counters.  Kernel
-launches aggregate block traces into a :class:`KernelCounters`, and the
-device keeps a :class:`Timeline` of launch / transfer / synchronisation
-events so examples can print a CUDA-profiler-like account of a run.
+Every block execution yields a :class:`BlockTrace` -- the ordered
+warp-level instructions of the block together with aggregate counters.  A
+trace holds single :class:`InstructionRecord` entries and :class:`RowRun`
+entries, each of which stands for the records of one tile-staging call,
+kept as columns until ``records`` is read.  Kernel launches aggregate
+block traces into a :class:`KernelCounters`, and the device keeps a
+:class:`Timeline` of launch / transfer / synchronisation events so
+examples can print a CUDA-profiler-like account of a run.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.utils.numerics import ordered_sum
 
@@ -63,21 +68,69 @@ _SHARED_WRITE = InstructionKind.SHARED_WRITE
 _BARRIER = InstructionKind.BARRIER
 
 
-@dataclass
+class RowRun(NamedTuple):
+    """The rows of one tile-staging call, as columns.
+
+    Row ``r`` stands for two records, in the order a per-warp loop appends
+    them.  A ``to_shared`` run reads the row from global memory and writes
+    it to shared memory (``GLOBAL_READ``, then ``SHARED_WRITE``); any other
+    run reads shared memory and writes global memory (``SHARED_READ``, then
+    ``GLOBAL_WRITE``).  Both records move ``words`` words; the global one
+    issues ``transactions[r]`` block transactions and the shared one has
+    bank-conflict degree ``conflict_degrees[r]``.
+    """
+
+    to_shared: bool
+    global_label: str
+    shared_label: str
+    words: int
+    transactions: np.ndarray
+    conflict_degrees: np.ndarray
+
+    def records(self) -> List[InstructionRecord]:
+        """The run's records, row by row."""
+        global_kind = _GLOBAL_READ if self.to_shared else _GLOBAL_WRITE
+        shared_kind = _SHARED_WRITE if self.to_shared else _SHARED_READ
+        records: List[InstructionRecord] = []
+        for transactions, degree in zip(
+            self.transactions.tolist(), self.conflict_degrees.tolist()
+        ):
+            global_access = InstructionRecord(
+                kind=global_kind, transactions=transactions,
+                words=self.words, label=self.global_label,
+            )
+            shared_access = InstructionRecord(
+                kind=shared_kind, words=self.words,
+                conflict_degree=degree, label=self.shared_label,
+            )
+            if self.to_shared:
+                records += (global_access, shared_access)
+            else:
+                records += (shared_access, global_access)
+        return records
+
+
 class BlockTrace:
     """Ordered instruction trace and aggregate counters of one block.
 
-    The aggregates the timing engine reads are running totals, updated by
-    :meth:`append` in record order, so reading one costs the same however
-    long the trace is.  Records passed to the constructor are tallied
-    once, in order; ``records`` must only grow through :meth:`append`.
+    The aggregates the timing engine reads are running totals, updated as
+    the trace grows, so reading one costs the same however long the trace
+    is.  A trace grows only through :meth:`append` (one record) and
+    :meth:`append_rows` (one run of staged rows, added to the totals in
+    one step); records passed to the constructor are appended in order.
+    ``records`` builds a new list each time it is read, expanding every
+    run, so changing that list does not change the trace.
     """
 
-    block_index: int
-    records: List[InstructionRecord] = field(default_factory=list)
-    shared_words_used: int = 0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        block_index: int,
+        records: Iterable[InstructionRecord] = (),
+        shared_words_used: int = 0,
+    ) -> None:
+        self.block_index = block_index
+        self.shared_words_used = shared_words_used
+        self._entries: List[Union[InstructionRecord, RowRun]] = []
         self._compute_operations = 0.0
         self._shared_accesses = 0
         self._shared_conflict_cycles = 0.0
@@ -85,13 +138,40 @@ class BlockTrace:
         self._global_words = 0
         self._barriers = 0
         self._has_bank_conflicts = False
-        for record in self.records:
-            self._tally(record)
+        for record in records:
+            self.append(record)
+
+    @property
+    def records(self) -> List[InstructionRecord]:
+        """Every record in order, each run expanded row by row."""
+        records: List[InstructionRecord] = []
+        for entry in self._entries:
+            if type(entry) is RowRun:
+                records += entry.records()
+            else:
+                records.append(entry)
+        return records
 
     def append(self, record: InstructionRecord) -> None:
         """Append one instruction record and update the totals."""
-        self.records.append(record)
+        self._entries.append(record)
         self._tally(record)
+
+    def append_rows(self, run: RowRun) -> None:
+        """Append a run of staged rows and add its totals in one step.
+
+        Every addend is an integer, and the float conflict-cycle total
+        stays far below 2**53, so the totals equal those of appending the
+        run's records one by one.
+        """
+        self._entries.append(run)
+        rows = len(run.transactions)
+        self._shared_accesses += rows
+        self._shared_conflict_cycles += int(run.conflict_degrees.sum())
+        if rows and run.conflict_degrees.max() > 1:
+            self._has_bank_conflicts = True
+        self._global_transactions += int(run.transactions.sum())
+        self._global_words += rows * run.words
 
     def _tally(self, record: InstructionRecord) -> None:
         # Identity tests: hashing an enum member runs Python code.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,11 +32,34 @@ def comparisons():
     return {result.algorithm: result.comparison() for result in results}
 
 
+#: perfbench's paper-eval reference: every Section IV series at paper
+#: scale and the IV-D statistics, as the benchmark checks them.
+PAPER_REFERENCE = (
+    Path(__file__).resolve().parent.parent
+    / "perfbench" / "reference" / "paper_eval.json"
+)
+
+#: The IV-D statistics the reference holds per algorithm.
+REFERENCE_SUMMARY_FIELDS = (
+    "measured_transfer_share",
+    "measured_predicted_transfer_share",
+    "measured_delta_accuracy",
+    "measured_swgpu_capture",
+    "atgpu_shape_score",
+    "swgpu_shape_score",
+)
+
+
 @pytest.fixture(scope="module")
-def paper_comparisons():
+def paper_results():
+    """The Section IV results at the paper's sweep sizes."""
+    return Session().run_many(paper_specs(scale="paper"))
+
+
+@pytest.fixture(scope="module")
+def paper_comparisons(paper_results):
     """The Section IV comparisons at the paper's sweep sizes."""
-    results = Session().run_many(paper_specs(scale="paper"))
-    return {result.algorithm: result.comparison() for result in results}
+    return {result.algorithm: result.comparison() for result in paper_results}
 
 
 class TestWorkloads:
@@ -199,6 +225,37 @@ class TestPaperScaleFigures:
         matmul = figures["6c"].series["ΔE (Observed)"]
         assert matmul[-1] < matmul[0]
         assert matmul[-1] < 0.2
+
+
+class TestPaperScaleReference:
+    """The paper-scale evaluation equals the benchmark's reference exactly.
+
+    A change that only makes the code faster leaves every series and
+    statistic unchanged, so the comparison is ``==``, not a tolerance.
+    """
+
+    def test_series_and_statistics_equal_the_reference(self, paper_results):
+        stats = summary_statistics(paper_results)
+        observed = {
+            result.algorithm: {
+                "sizes": list(result.sizes),
+                "predicted": {
+                    name: result.predicted[name]
+                    for name in ("atgpu", "swgpu", "perfect")
+                },
+                "delta_t": list(result.predicted_transfer_proportions),
+                "observed_totals": list(result.observed_totals),
+                "observed_kernels": list(result.observed_kernels),
+                "observed_transfers": list(result.observed_transfers),
+                "summary": {
+                    field: getattr(stats[result.algorithm], field)
+                    for field in REFERENCE_SUMMARY_FIELDS
+                },
+            }
+            for result in paper_results
+        }
+        reference = json.loads(PAPER_REFERENCE.read_text(encoding="utf-8"))
+        assert observed == reference
 
 
 class TestSummaryStatistics:

@@ -27,7 +27,7 @@ from repro.core.prediction import (
     SweepObservation,
     SweepPrediction,
 )
-from repro.core.presets import GTX_650
+from repro.core.presets import GTX_650, get_preset
 from repro.core.topology import Topology
 from repro.experiments import (
     ExperimentSpec,
@@ -38,6 +38,7 @@ from repro.experiments import (
     all_figures,
     observe_spec,
     paper_specs,
+    predict_group,
 )
 from repro.simulator.config import DeviceConfig
 
@@ -532,6 +533,72 @@ class TestSessionExecution:
             assert restored.summaries()[name] == pytest.approx(summary)
         with pytest.raises(KeyError, match="no result"):
             evaluation.get("histogram")
+
+
+class TestPresetSimulatorConfig:
+    """A spec is observed on the simulator configuration of its preset."""
+
+    SIZES = (4_096, 1 << 20)
+
+    @staticmethod
+    def observed(config) -> list:
+        observation = create("vector_addition").observe_sweep(
+            list(TestPresetSimulatorConfig.SIZES), config=config
+        )
+        return [float(total) for total in observation.totals]
+
+    @pytest.mark.parametrize("preset, config", [
+        ("gtx650", DeviceConfig.gtx650),
+        ("gtx980", DeviceConfig.gtx980),
+        ("k40", DeviceConfig.tesla_k40),
+    ])
+    def test_preset_observes_its_configuration(self, preset, config):
+        spec = ExperimentSpec("vector_addition", sizes=self.SIZES, preset=preset)
+        assert spec.resolved_device_config() == config()
+        assert Session().run(spec).observed_totals == self.observed(config())
+
+    def test_preset_without_configuration_raises_at_observation(self):
+        spec = ExperimentSpec(
+            "vector_addition", sizes=self.SIZES, preset="gtx1080"
+        )
+        prediction = predict_group([spec])[0]
+        expected = create("vector_addition").predict_sweep(
+            list(self.SIZES), preset=get_preset("gtx1080"),
+            backends=spec.backends,
+        )
+        for backend in spec.backends:
+            assert np.array_equal(
+                prediction.series_for(backend), expected.series_for(backend)
+            )
+        with pytest.raises(ValueError, match="'gtx1080'.*device_config"):
+            Session().run(spec)
+        given = spec.with_overrides(device_config=DeviceConfig.gtx980())
+        assert Session().run(given).observed_totals == \
+            self.observed(DeviceConfig.gtx980())
+
+    @pytest.mark.parametrize("simulator", [None, DeviceConfig.gtx650])
+    def test_store_entry_of_another_configuration_is_a_miss(
+        self, tmp_path, simulator
+    ):
+        # Before specs were observed on their preset's configuration, the
+        # store kept gtx650's observations under a k40 spec's key and named
+        # no configuration.
+        spec = ExperimentSpec("vector_addition", sizes=self.SIZES, preset="k40")
+        payload = Session().run(spec).to_dict()
+        assert payload["simulator"] == DeviceConfig.tesla_k40().to_dict()
+        del payload["simulator"]
+        if simulator is not None:
+            payload["simulator"] = simulator().to_dict()
+        payload["observed_totals"] = self.observed(DeviceConfig.gtx650())
+        path = tmp_path / f"{spec.spec_hash()}.json"
+        path.write_text(json.dumps(payload))
+        session = Session(cache_dir=tmp_path)
+        result = session.run(spec)
+        assert (session.cache_hits, session.cache_misses) == (0, 1)
+        assert result.observed_totals == self.observed(DeviceConfig.tesla_k40())
+        stored = json.loads(path.read_text())
+        assert stored["simulator"] == DeviceConfig.tesla_k40().to_dict()
+        assert Result.from_dict(stored).observed_totals == result.observed_totals
 
 
 class TestSectionIVParity:

@@ -31,7 +31,9 @@ from repro.simulator.batch import (
 )
 from repro.simulator.config import DeviceConfig
 from repro.simulator.functional import FunctionalEngine
+from repro.simulator.kernel import BlockContext
 from repro.simulator.timing import TimingEngine
+from repro.simulator.trace import BlockTrace
 from repro.workloads import PAPER_SWEEPS
 
 #: Every registered algorithm appears here by name so the SIM001 lint rule
@@ -237,6 +239,8 @@ class TestProbeWorkCounts:
     again multiplies the first count (reduction: 91 -> 18,531); expanding
     each class into one pair per block multiplies the second (reduction
     streamed: 157 -> 43,145) while every simulated time stays the same.
+    Within each traced matrix-multiplication block, a tile is staged in one
+    call, and only barriers and compute append single records.
     """
 
     #: Blocks traced, and timing evaluations, per Section IV sweep.
@@ -294,6 +298,47 @@ class TestProbeWorkCounts:
         )
         assert counts["executed"] == self.EXPECTED_BLOCKS[name]
         assert counts["timed"] == self.EXPECTED_BLOCKS[name]
+
+    #: Matrix multiplication's calls and records over its Section IV
+    #: sweep (19 traced blocks, 293 k-tiles): each k-tile stages its two
+    #: tiles in one call each and each block writes its tile back in one,
+    #: with a record per barrier and per compute.  Staging row by row made
+    #: 38,720 per-warp access calls and 39,599 records.
+    EXPECTED_MATMUL_CALLS = {
+        "global_read": 0,
+        "shared_write": 0,
+        "shared_read": 0,
+        "global_write": 0,
+        "global_to_shared": 586,
+        "shared_to_global": 19,
+        "records": 879,
+    }
+
+    def test_matrix_multiplication_stages_each_tile_in_one_call(
+        self, monkeypatch
+    ):
+        calls = dict.fromkeys(self.EXPECTED_MATMUL_CALLS, 0)
+
+        def counted(key, method):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        for name in ("global_read", "shared_write", "shared_read",
+                     "global_write", "global_to_shared", "shared_to_global"):
+            monkeypatch.setattr(
+                BlockContext, name, counted(name, getattr(BlockContext, name))
+            )
+        monkeypatch.setattr(
+            BlockTrace, "append", counted("records", BlockTrace.append)
+        )
+        counts = self._counts(
+            monkeypatch, "matrix_multiplication",
+            lambda algorithm, sizes: algorithm.observe_sweep(sizes),
+        )
+        assert counts["executed"] == self.EXPECTED_BLOCKS["matrix_multiplication"]
+        assert calls == self.EXPECTED_MATMUL_CALLS
 
     @pytest.mark.parametrize("schedule, run", [
         ("streamed", lambda algorithm, sizes: algorithm.observe_streamed_sweep(

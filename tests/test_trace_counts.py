@@ -1,14 +1,16 @@
 """Oracles for the simulator's per-access counts, per-block and launch totals.
 
 ``GPUDevice`` (the oracle of the batched probe) and ``ProbeDevice`` share
-``coalesced_transactions``, ``bank_conflict_degree``, ``BlockTrace``'s
-running totals and ``TimingEngine.launch_totals``, so no parity test
-between the two paths can catch an error in them.  Each is checked here
-against a brute-force definition on generated inputs: warps of 0-64 lanes
-with duplicates, strides and large addresses, record sequences read part
-way through, and launches of block classes whose per-block values are not
-binary fractions, so the order of every float sum shows in its last bits.
-The examples are derandomized, so tier-1 runs the same profile every time.
+``coalesced_transactions``, ``bank_conflict_degree``, the tile-staging
+calls, ``BlockTrace``'s running totals and ``TimingEngine.launch_totals``,
+so no parity test between the two paths can catch an error in them.  Each
+is checked here against a brute-force definition on generated inputs:
+warps of 0-64 lanes with duplicates, strides and large addresses; tiles
+staged in one call against the per-warp loop they stand for; record
+sequences, interleaved with runs of staged rows, read part way through;
+and launches of block classes whose per-block values are not binary
+fractions, so the order of every float sum shows in its last bits.  The
+examples are derandomized, so tier-1 runs the same profile every time.
 """
 
 from __future__ import annotations
@@ -17,13 +19,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.matrix_multiplication import MatrixMultiplicationKernel
 from repro.simulator.config import DeviceConfig
-from repro.simulator.errors import InvalidAccessError
-from repro.simulator.memory import bank_conflict_degree, coalesced_transactions
+from repro.simulator.errors import (
+    AllocationError,
+    InvalidAccessError,
+    LaunchError,
+    SimulatorError,
+)
+from repro.simulator.kernel import BlockContext
+from repro.simulator.memory import (
+    GlobalMemory,
+    bank_conflict_degree,
+    coalesced_transactions,
+)
 from repro.simulator.timing import TimingEngine
-from repro.simulator.trace import BlockTrace, InstructionKind, InstructionRecord
+from repro.simulator.trace import (
+    BlockTrace,
+    InstructionKind,
+    InstructionRecord,
+    RowRun,
+)
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None)
+
+#: gtx650's per-block cycles are binary fractions for binary-fraction
+#: counts; tesla_k40 exposes 500/6 cycles of latency per transaction.
+DEVICES = {
+    "gtx650": DeviceConfig.gtx650(),
+    "tesla_k40": DeviceConfig.tesla_k40(),
+}
 
 #: Largest generated address: large, yet every strided warp fits int64.
 TOP_ADDRESS = (1 << 62) - 1
@@ -106,6 +131,240 @@ class TestWarpAccessCounts:
             count(np.array([0, 5], dtype=np.int64), 0)
 
 
+def stage_by_warp_loop(ctx, to_shared, shared_name, global_name,
+                       shared_rows, global_rows) -> None:
+    """The per-warp loop a staging call stands for: a read, then a write,
+    per row."""
+    for shared_row, global_row in zip(shared_rows, global_rows):
+        if to_shared:
+            values = ctx.global_read(global_name, global_row)
+            ctx.shared_write(shared_name, shared_row, values)
+        else:
+            values = ctx.shared_read(shared_name, shared_row)
+            ctx.global_write(global_name, global_row, values)
+
+
+def stage_in_one_call(ctx, to_shared, shared_name, global_name,
+                      shared_rows, global_rows) -> None:
+    if to_shared:
+        ctx.global_to_shared(shared_name, global_name, shared_rows, global_rows)
+    else:
+        ctx.shared_to_global(global_name, shared_name, global_rows, shared_rows)
+
+
+#: Lane strides: a broadcast, coalesced, straddling blocks, and
+#: conflicting in banks (16 and 32 on a 32-bank warp, every even one on a
+#: 4-bank warp).
+LANE_STRIDES = (0, 1, 2, 16, 32, 33)
+
+#: Ways a staging call can fail; ``None`` is a valid call.
+FAULTS = (
+    None, "global_high", "global_negative", "shared_high",
+    "shared_negative", "unknown_global", "unknown_shared",
+)
+
+
+def with_fault(case: dict, fault, at=(0, 0), beyond: int = 0) -> dict:
+    """``case`` with ``fault`` injected: an index ``beyond`` past either
+    end of its array at row and lane ``at``, or an unknown array name."""
+    if fault == "unknown_global":
+        case["global_name"] = "missing"
+    elif fault == "unknown_shared":
+        case["shared_name"] = "_missing"
+    elif fault is not None:
+        side, kind = fault.split("_")
+        case[f"{side}_rows"][at] = (
+            case[f"{side}_length"] + beyond if kind == "high" else -1 - beyond
+        )
+    return case
+
+
+@st.composite
+def staging_cases(draw) -> dict:
+    """A staging call and the memory it runs on.
+
+    Index rows are strided (the row pitch may be 0, which repeats rows) or
+    small random indices with repeats.  A pad allocation before each array
+    shifts its base off block and bank boundaries.
+    """
+    rows = draw(st.integers(0, 33))
+    lanes = draw(st.integers(0, 33))
+
+    def index_rows() -> np.ndarray:
+        if draw(st.booleans()):
+            start = draw(st.integers(0, 64))
+            pitch = draw(st.sampled_from([0, 1, lanes, 32, 33]))
+            stride = draw(st.sampled_from(LANE_STRIDES))
+            return (start + np.arange(rows)[:, None] * pitch
+                    + np.arange(lanes) * stride).astype(np.int64)
+        values = draw(st.lists(
+            st.integers(0, 40), min_size=rows * lanes, max_size=rows * lanes,
+        ))
+        return np.array(values, dtype=np.int64).reshape(rows, lanes)
+
+    global_rows, shared_rows = index_rows(), index_rows()
+    case = {
+        "warp_width": draw(st.sampled_from([4, 32])),
+        "to_shared": draw(st.booleans()),
+        "global_pad": draw(st.integers(0, 40)),
+        "shared_pad": draw(st.integers(0, 40)),
+        "global_length": int(global_rows.max(initial=0)) + 1
+        + draw(st.integers(0, 8)),
+        "shared_length": int(shared_rows.max(initial=0)) + 1
+        + draw(st.integers(0, 8)),
+        "global_name": "g",
+        "shared_name": "_s",
+        "global_rows": global_rows,
+        "shared_rows": shared_rows,
+    }
+    fault = draw(st.sampled_from(FAULTS))
+    if fault is None or fault.startswith("unknown"):
+        return with_fault(case, fault)
+    if not rows * lanes:
+        return case
+    at = (draw(st.integers(0, rows - 1)), draw(st.integers(0, lanes - 1)))
+    return with_fault(case, fault, at, draw(st.integers(0, 5)))
+
+
+def small_case(to_shared: bool, rows: int) -> dict:
+    """A valid staging of the same ``rows × 4`` indices on each side, on a
+    4-lane warp with both arrays shifted by a pad."""
+    indices = np.arange(rows * 4, dtype=np.int64).reshape(rows, 4)
+    return {
+        "warp_width": 4, "to_shared": to_shared, "global_pad": 3,
+        "shared_pad": 1, "global_length": indices.size,
+        "shared_length": indices.size, "global_name": "g",
+        "shared_name": "_s", "global_rows": indices.copy(),
+        "shared_rows": indices.copy(),
+    }
+
+
+def run_staging(case: dict, stage):
+    """Stage ``case`` through ``stage``: its error type, or its records,
+    totals and both arrays' contents."""
+    config = DeviceConfig.gtx650().with_overrides(
+        warp_width=case["warp_width"]
+    )
+    memory = GlobalMemory(1 << 16, config.words_per_block)
+    if case["global_pad"]:
+        memory.allocate("pad", case["global_pad"])
+    array = memory.allocate("g", case["global_length"], dtype=np.float64)
+    array.data[:] = 3.0 * np.arange(array.length) + 1.0
+    ctx = BlockContext(0, 1, config, memory, {"g": array})
+    if case["shared_pad"]:
+        ctx.shared_alloc("_pad", case["shared_pad"])
+    shared = ctx.shared_alloc("_s", case["shared_length"])
+    shared[:] = -1.0 - np.arange(shared.size)
+    try:
+        stage(
+            ctx, case["to_shared"], case["shared_name"], case["global_name"],
+            case["shared_rows"].copy(), case["global_rows"].copy(),
+        )
+    except SimulatorError as exc:
+        return type(exc)
+    return (ctx.trace.records, totals(ctx.trace), array.data.tolist(),
+            shared.tolist())
+
+
+class WarpLoopContext(BlockContext):
+    """A block context that stages through the per-warp loop."""
+
+    def global_to_shared(self, shared_name, global_name, shared_rows,
+                         global_rows):
+        stage_by_warp_loop(self, True, shared_name, global_name,
+                           shared_rows, global_rows)
+
+    def shared_to_global(self, global_name, shared_name, global_rows,
+                         shared_rows):
+        stage_by_warp_loop(self, False, shared_name, global_name,
+                           shared_rows, global_rows)
+
+
+def matrix_multiplication_blocks(context, config, n: int, pad: int):
+    """Every block of an ``n×n`` product through ``context``: each block's
+    records and totals, then the output matrix."""
+    memory = GlobalMemory(1 << 20, config.words_per_block)
+    if pad:
+        memory.allocate("pad", pad)
+    rng = np.random.default_rng(n)
+    arrays = {}
+    for name in ("ma", "mb", "mc"):
+        arrays[name] = memory.allocate(name, n * n, dtype=np.float64)
+    arrays["ma"].data[:] = rng.integers(0, 64, n * n)
+    arrays["mb"].data[:] = rng.integers(0, 64, n * n)
+    kernel = MatrixMultiplicationKernel(n, config.warp_width)
+    blocks = []
+    for index in range(kernel.grid_size()):
+        ctx = context(index, kernel.grid_size(), config, memory, arrays)
+        kernel.run_block(ctx)
+        blocks.append((ctx.trace.records, totals(ctx.trace)))
+    return blocks, arrays["mc"].data.tolist()
+
+
+class TestStagingEqualsWarpLoop:
+    """``global_to_shared`` and ``shared_to_global`` against the loop."""
+
+    @pytest.mark.parametrize("device", sorted(DEVICES))
+    @pytest.mark.parametrize("n, pad", [(32, 0), (64, 5), (96, 17)])
+    def test_matrix_multiplication_blocks_equal_the_loop(self, device, n,
+                                                         pad):
+        config = DEVICES[device]
+        assert matrix_multiplication_blocks(BlockContext, config, n, pad) == \
+            matrix_multiplication_blocks(WarpLoopContext, config, n, pad)
+
+    @PROFILE
+    @given(staging_cases())
+    def test_records_totals_and_data_equal_the_loop(self, case):
+        assert run_staging(case, stage_in_one_call) == \
+            run_staging(case, stage_by_warp_loop)
+
+    @pytest.mark.parametrize("to_shared", [True, False])
+    @pytest.mark.parametrize("fault, error", [
+        ("global_high", InvalidAccessError),
+        ("global_negative", InvalidAccessError),
+        ("shared_high", InvalidAccessError),
+        ("shared_negative", InvalidAccessError),
+        ("unknown_global", LaunchError),
+        ("unknown_shared", AllocationError),
+    ])
+    def test_faults_raise_the_loop_error(self, to_shared, fault, error):
+        case = with_fault(small_case(to_shared, rows=4), fault, at=(2, 1))
+        assert run_staging(case, stage_by_warp_loop) is error
+        assert run_staging(case, stage_in_one_call) is error
+
+    @pytest.mark.parametrize("to_shared", [True, False])
+    @pytest.mark.parametrize("bad_row", [0, 1])
+    def test_loop_error_order_with_two_faults(self, to_shared, bad_row):
+        # The read side's row 0 is checked before the written side's name,
+        # and the written side's name before any later row.
+        read, written = (
+            ("global", "shared") if to_shared else ("shared", "global")
+        )
+        case = with_fault(
+            with_fault(small_case(to_shared, rows=2), f"{read}_negative",
+                       at=(bad_row, 0)),
+            f"unknown_{written}",
+        )
+        error = (InvalidAccessError if bad_row == 0
+                 else AllocationError if to_shared else LaunchError)
+        assert run_staging(case, stage_by_warp_loop) is error
+        assert run_staging(case, stage_in_one_call) is error
+
+    def test_mismatched_index_shapes_rejected(self):
+        config = DeviceConfig.gtx650()
+        memory = GlobalMemory(1 << 12, config.words_per_block)
+        array = memory.allocate("g", 64, dtype=np.float64)
+        ctx = BlockContext(0, 1, config, memory, {"g": array})
+        ctx.shared_alloc("_s", 64)
+        with pytest.raises(ValueError):
+            ctx.global_to_shared(
+                "_s", "g", np.zeros((2, 4), dtype=np.int64),
+                np.zeros((2, 3), dtype=np.int64),
+            )
+        with pytest.raises(ValueError):
+            ctx.shared_to_global("g", "_s", np.arange(4), np.arange(4))
+
+
 #: Record fields that vary by kind.  Compute operations are quarter
 #: multiples, so every partial sum is exact and the definition's ``sum``
 #: agrees with a running total on any Python version.
@@ -135,6 +394,36 @@ def totals_by_definition(records) -> tuple:
         sum(1 for r in records if r.kind is InstructionKind.BARRIER),
         any(r.conflict_degree > 1 for r in shared),
     )
+
+
+#: A run of staged rows as ``(to_shared, words, [(transactions,
+#: conflict degree), ...])``.
+ROW_RUNS = st.tuples(
+    st.booleans(),
+    st.integers(0, 64),
+    st.lists(
+        st.tuples(st.integers(0, 40), st.integers(1, 32)), max_size=33
+    ),
+)
+
+
+def run_records_by_definition(to_shared, words, rows) -> list:
+    """Per row, the global and the shared record in access order."""
+    records = []
+    for transactions, degree in rows:
+        global_access = InstructionRecord(
+            InstructionKind.GLOBAL_READ if to_shared
+            else InstructionKind.GLOBAL_WRITE,
+            transactions=transactions, words=words, label="g",
+        )
+        shared_access = InstructionRecord(
+            InstructionKind.SHARED_WRITE if to_shared
+            else InstructionKind.SHARED_READ,
+            words=words, conflict_degree=degree, label="_s",
+        )
+        records += ([global_access, shared_access] if to_shared
+                    else [shared_access, global_access])
+    return records
 
 
 def totals(trace: BlockTrace) -> tuple:
@@ -169,13 +458,26 @@ class TestBlockTraceTotals:
         trace = BlockTrace(block_index=0, records=list(records))
         assert totals(trace) == totals_by_definition(records)
 
+    @PROFILE
+    @given(st.lists(st.one_of(RECORDS, ROW_RUNS), max_size=30))
+    def test_runs_interleaved_with_records(self, entries):
+        trace = BlockTrace(block_index=0)
+        expanded = []
+        for entry in entries:
+            if isinstance(entry, InstructionRecord):
+                trace.append(entry)
+                expanded.append(entry)
+            else:
+                to_shared, words, rows = entry
+                trace.append_rows(RowRun(
+                    to_shared, "g", "_s", words,
+                    np.array([t for t, _ in rows], dtype=np.int64),
+                    np.array([d for _, d in rows], dtype=np.int64),
+                ))
+                expanded += run_records_by_definition(to_shared, words, rows)
+        assert trace.records == expanded
+        assert totals(trace) == totals_by_definition(expanded)
 
-#: gtx650's per-block cycles are binary fractions for binary-fraction
-#: counts; tesla_k40 exposes 500/6 cycles of latency per transaction.
-DEVICES = {
-    "gtx650": DeviceConfig.gtx650(),
-    "tesla_k40": DeviceConfig.tesla_k40(),
-}
 
 #: Records whose compute operations are sevenths, so a block's issue
 #: cycles and operation count are not binary fractions either.
