@@ -19,7 +19,12 @@ move one warp access each.  The staging calls ``global_to_shared`` and
 ``SharedToGlobal`` statements: one call moves a ``rows × lanes`` tile, one
 warp access per row, and traces it as one
 :class:`~repro.simulator.trace.RowRun` whose records, errors and data equal
-those of the per-warp loop over its rows.
+those of the per-warp loop over its rows.  A block analyses each tile
+pattern once: a staging call that stages the same index pattern as the
+block's last call between the same arrays, at a new base (as each k-step
+of a tiled loop does), reuses that call's index extremes, conflict degrees
+and, for a residue seen before, transaction counts, and only moves the
+data.
 
 Kernels whose grids are too large to execute block-by-block in pure Python
 may additionally provide :meth:`KernelProgram.vectorised_result`, a NumPy
@@ -60,20 +65,123 @@ def _check_rows(idx: np.ndarray, length: int, what: str) -> None:
 
 
 def _assign_in_order(target: np.ndarray, idx: np.ndarray,
-                     values: np.ndarray) -> None:
+                     values: np.ndarray, increasing: bool) -> None:
     """``target[idx] = values`` as writes of one row after another leave it.
 
     Of repeated indices the last in row-major order wins.  NumPy does not
     say which of repeated fancy-index assignments wins, so each index is
     assigned once: a stable sort puts an index's writes in order, and the
-    last of each is kept.
+    last of each is kept.  Where ``idx`` strictly increases in row-major
+    order (``increasing``) no index repeats, and the plain assignment is
+    that write.
     """
+    if increasing:
+        target[idx] = values
+        return
     flat = idx.ravel()
     order = np.argsort(flat, kind="stable")
     ordered = flat[order]
     last = np.ones(flat.size, dtype=bool)
     last[:-1] = ordered[1:] != ordered[:-1]
     target[ordered[last]] = values.ravel()[order[last]]
+
+
+def _increasing(idx: np.ndarray) -> bool:
+    """Whether ``idx`` strictly increases in row-major order."""
+    flat = idx.ravel()
+    return bool((flat[1:] > flat[:-1]).all())
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
+def _row_transactions(addresses: np.ndarray,
+                      words_per_block: int) -> np.ndarray:
+    """Coalesced transactions of each row of a ``rows × lanes`` access."""
+    rows, lanes = addresses.shape
+    if not lanes:
+        return np.zeros(rows, dtype=np.int64)
+    blocks = np.sort(addresses // words_per_block, axis=1)
+    return 1 + (blocks[:, 1:] != blocks[:, :-1]).sum(axis=1)
+
+
+def _row_conflict_degrees(words: np.ndarray, num_banks: int) -> np.ndarray:
+    """Bank-conflict degree of each row of a ``rows × lanes`` shared access:
+    the most distinct words of the row in one bank."""
+    rows, lanes = words.shape
+    if not lanes:
+        return np.ones(rows, dtype=np.int64)
+    words = np.sort(words, axis=1)
+    distinct = np.ones(words.shape, dtype=bool)
+    distinct[:, 1:] = words[:, 1:] != words[:, :-1]
+    row_banks = np.arange(rows)[:, None] * num_banks + words % num_banks
+    return np.bincount(
+        row_banks[distinct], minlength=rows * num_banks
+    ).reshape(rows, num_banks).max(axis=1)
+
+
+class _TileAnalysis:
+    """What one staging call's indices decide, kept for the calls of the
+    block that repeat its tile pattern.
+
+    A call's *base* is its first global index and its *pattern* its global
+    rows minus the base.  A later call in the same direction between the
+    same arrays repeats this one when its shared rows and its pattern equal
+    the ones kept here.  Everything kept is then exact for it too:
+
+    * Conflict degrees depend only on the shared rows: adding the shared
+      array's offset to every word permutes the banks, so they are counted
+      on the indices.
+    * With ``w`` words per block and ``c = array.offset + base = q·w + s``,
+      ``(c + p) // w = q + (s + p) // w``, so a row's transaction count
+      depends only on its pattern row and the residue ``s``.  Counts are
+      kept per residue.
+    * Every global index is ``base + p``, so ``base + low >= 0`` and
+      ``base + high < array.length`` bound the whole global side.  The
+      shared indices were in range when kept, so ``shared_high`` against
+      the shared array's size bounds the shared side.
+    * A side whose indices strictly increase repeats no index, so a plain
+      fancy assignment is its ordered write.
+
+    The index arrays are private copies, so a caller that rewrites its
+    array in place between calls is compared by content, and the columns
+    are read-only, because the :class:`RowRun` of every repeat shares them.
+    """
+
+    def __init__(self, shared_idx: np.ndarray, global_idx: np.ndarray,
+                 base: int, num_banks: int) -> None:
+        self.shared_rows = shared_idx.copy()
+        self.pattern = global_idx - base
+        self.conflict_degrees = _read_only(
+            _row_conflict_degrees(shared_idx, num_banks)
+        )
+        self.transactions: Dict[int, np.ndarray] = {}
+        # The pattern holds 0, and shared indices are non-negative, so the
+        # initial values leave the extremes of a non-empty tile unchanged.
+        self.low = int(self.pattern.min(initial=0))
+        self.high = int(self.pattern.max(initial=0))
+        self.shared_high = int(shared_idx.max(initial=0))
+        self.shared_increasing = _increasing(shared_idx)
+        self.global_increasing = _increasing(self.pattern)
+
+    def repeated_by(self, shared_idx: np.ndarray, global_idx: np.ndarray,
+                    base: int) -> bool:
+        """Whether a call with these indices repeats the kept pattern."""
+        return (
+            shared_idx.shape == self.shared_rows.shape
+            and bool((shared_idx == self.shared_rows).all())
+            and bool((global_idx - base == self.pattern).all())
+        )
+
+    def global_fits(self, base: int, length: int) -> bool:
+        """Whether every global index of a repeat at ``base`` is in range."""
+        return base + self.low >= 0 and base + self.high < length
+
+    def shared_fits(self, size: int) -> bool:
+        """Whether every shared index of a repeat is in range."""
+        return self.shared_high < size
 
 
 class BlockContext:
@@ -102,6 +210,9 @@ class BlockContext:
             num_banks=config.warp_width,
         )
         self.trace = BlockTrace(block_index=block_index)
+        # The last tile analysis per (direction, shared name, global
+        # name); the dict is made on the block's first staging call.
+        self._tiles: Optional[Dict[tuple, _TileAnalysis]] = None
 
     # ------------------------------------------------------------------ #
     # Lane helpers
@@ -251,6 +362,16 @@ class BlockContext:
         its row 0, then the written side's name, then any other row.  All
         rows are checked before any data moves; a block that raises is
         discarded, so the loop's partial writes cannot be observed.
+
+        A block analyses each tile pattern once.  A call that repeats the
+        block's last call in its direction between the same arrays (the
+        same shared rows, the global rows at a new base; see
+        :class:`_TileAnalysis`) is found by one ``==`` pass per side.  It
+        checks its bounds in O(1), reuses the conflict degrees and, for a
+        residue seen before, the transaction counts, and moves the data.
+        Any other call, and a repeat whose O(1) bounds fail, is checked
+        row by row and analysed afresh, so records, data and errors stay
+        those of the loop.
         """
         shared_idx = np.asarray(shared_rows, dtype=np.int64)
         global_idx = np.asarray(global_rows, dtype=np.int64)
@@ -262,43 +383,51 @@ class BlockContext:
         rows, lanes = shared_idx.shape
         if rows == 0:
             return
+        base = int(global_idx[0, 0]) if lanes else 0
+        if self._tiles is None:
+            self._tiles = {}
+        key = (to_shared, shared_name, global_name)
+        tile = self._tiles.get(key)
+        if tile is not None and not tile.repeated_by(
+            shared_idx, global_idx, base
+        ):
+            tile = None
         global_what = f"device array {global_name!r}"
         shared_what = f"shared array {shared_name!r}"
         if to_shared:
             array = self.array(global_name)
-            _check_rows(global_idx[0], array.length, global_what)
-            offset, shared = self._shared.region(shared_name)
+            if tile is None or not tile.global_fits(base, array.length):
+                _check_rows(global_idx[0], array.length, global_what)
+            shared = self._shared.get(shared_name)
         else:
-            offset, shared = self._shared.region(shared_name)
-            _check_rows(shared_idx[0], shared.size, shared_what)
+            shared = self._shared.get(shared_name)
+            if tile is None or not tile.shared_fits(shared.size):
+                _check_rows(shared_idx[0], shared.size, shared_what)
             array = self.array(global_name)
-        _check_rows(global_idx, array.length, global_what)
-        _check_rows(shared_idx, shared.size, shared_what)
-
-        if lanes:
-            blocks = np.sort(
-                (array.offset + global_idx) // self._global_memory.words_per_block,
-                axis=1,
+        if tile is None or not (tile.global_fits(base, array.length)
+                                and tile.shared_fits(shared.size)):
+            _check_rows(global_idx, array.length, global_what)
+            _check_rows(shared_idx, shared.size, shared_what)
+            tile = self._tiles[key] = _TileAnalysis(
+                shared_idx, global_idx, base, self._shared.num_banks
             )
-            transactions = 1 + (blocks[:, 1:] != blocks[:, :-1]).sum(axis=1)
-            # Distinct words per row, then the most of them in one bank.
-            words = np.sort(offset + shared_idx, axis=1)
-            distinct = np.ones(words.shape, dtype=bool)
-            distinct[:, 1:] = words[:, 1:] != words[:, :-1]
-            banks = self._shared.num_banks
-            row_banks = np.arange(rows)[:, None] * banks + words % banks
-            degrees = np.bincount(
-                row_banks[distinct], minlength=rows * banks
-            ).reshape(rows, banks).max(axis=1)
-        else:
-            transactions = np.zeros(rows, dtype=np.int64)
-            degrees = np.ones(rows, dtype=np.int64)
+
+        words_per_block = self._global_memory.words_per_block
+        residue = (array.offset + base) % words_per_block
+        transactions = tile.transactions.get(residue)
+        if transactions is None:
+            transactions = tile.transactions[residue] = _read_only(
+                _row_transactions(array.offset + global_idx, words_per_block)
+            )
         if to_shared:
-            _assign_in_order(shared, shared_idx, array.data[global_idx])
+            _assign_in_order(shared, shared_idx, array.data[global_idx],
+                             tile.shared_increasing)
         else:
-            _assign_in_order(array.data, global_idx, shared[shared_idx])
+            _assign_in_order(array.data, global_idx, shared[shared_idx],
+                             tile.global_increasing)
         self.trace.append_rows(RowRun(
-            to_shared, global_name, shared_name, lanes, transactions, degrees,
+            to_shared, global_name, shared_name, lanes, transactions,
+            tile.conflict_degrees,
         ))
 
     # ------------------------------------------------------------------ #

@@ -269,13 +269,6 @@ class SharedMemory:
         except KeyError as exc:
             raise AllocationError(f"no shared array named {name!r}") from exc
 
-    def region(self, name: str) -> Tuple[int, np.ndarray]:
-        """Word offset and backing array of a shared allocation."""
-        try:
-            return self._arrays[name]
-        except KeyError as exc:
-            raise AllocationError(f"no shared array named {name!r}") from exc
-
     def conflict_degree(self, name: str, indices: np.ndarray) -> int:
         """Bank-conflict serialisation degree of a warp access to ``name[indices]``."""
         offset, data = self._arrays.get(name, (None, None))

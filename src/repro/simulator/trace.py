@@ -77,7 +77,9 @@ class RowRun(NamedTuple):
     run reads shared memory and writes global memory (``SHARED_READ``, then
     ``GLOBAL_WRITE``).  Both records move ``words`` words; the global one
     issues ``transactions[r]`` block transactions and the shared one has
-    bank-conflict degree ``conflict_degrees[r]``.
+    bank-conflict degree ``conflict_degrees[r]``.  The runs of a block's
+    calls that repeat one tile pattern share these columns, so nothing
+    writes to them.
     """
 
     to_shared: bool

@@ -31,6 +31,7 @@ from repro.simulator.batch import (
 )
 from repro.simulator.config import DeviceConfig
 from repro.simulator.functional import FunctionalEngine
+from repro.simulator import kernel
 from repro.simulator.kernel import BlockContext
 from repro.simulator.timing import TimingEngine
 from repro.simulator.trace import BlockTrace
@@ -240,7 +241,8 @@ class TestProbeWorkCounts:
     each class into one pair per block multiplies the second (reduction
     streamed: 157 -> 43,145) while every simulated time stays the same.
     Within each traced matrix-multiplication block, a tile is staged in one
-    call, and only barriers and compute append single records.
+    call, each tile pattern is analysed once, and only barriers and compute
+    append single records.
     """
 
     #: Blocks traced, and timing evaluations, per Section IV sweep.
@@ -303,7 +305,10 @@ class TestProbeWorkCounts:
     #: sweep (19 traced blocks, 293 k-tiles): each k-tile stages its two
     #: tiles in one call each and each block writes its tile back in one,
     #: with a record per barrier and per compute.  Staging row by row made
-    #: 38,720 per-warp access calls and 39,599 records.
+    #: 38,720 per-warp access calls and 39,599 records.  Each block
+    #: analyses its three tile patterns (A's, B's and C's) once: the other
+    #: 548 staging calls repeat a pattern at a new base and reuse its
+    #: analysis.  Analysing every call made 605 analyses.
     EXPECTED_MATMUL_CALLS = {
         "global_read": 0,
         "shared_write": 0,
@@ -312,6 +317,7 @@ class TestProbeWorkCounts:
         "global_to_shared": 586,
         "shared_to_global": 19,
         "records": 879,
+        "tile_analyses": 57,
     }
 
     def test_matrix_multiplication_stages_each_tile_in_one_call(
@@ -332,6 +338,10 @@ class TestProbeWorkCounts:
             )
         monkeypatch.setattr(
             BlockTrace, "append", counted("records", BlockTrace.append)
+        )
+        monkeypatch.setattr(
+            kernel, "_TileAnalysis",
+            counted("tile_analyses", kernel._TileAnalysis),
         )
         counts = self._counts(
             monkeypatch, "matrix_multiplication",

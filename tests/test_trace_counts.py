@@ -6,7 +6,8 @@ calls, ``BlockTrace``'s running totals and ``TimingEngine.launch_totals``,
 so no parity test between the two paths can catch an error in them.  Each
 is checked here against a brute-force definition on generated inputs:
 warps of 0-64 lanes with duplicates, strides and large addresses; tiles
-staged in one call against the per-warp loop they stand for; record
+staged in one call, alone and in sequences of calls in one block that
+repeat tile patterns, against the per-warp loop they stand for; record
 sequences, interleaved with runs of staged rows, read part way through;
 and launches of block classes whose per-block values are not binary
 fractions, so the order of every float sum shows in its last bits.  The
@@ -43,10 +44,12 @@ from repro.simulator.trace import (
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None)
 
-#: gtx650's per-block cycles are binary fractions for binary-fraction
-#: counts; tesla_k40 exposes 500/6 cycles of latency per transaction.
+#: Every GPU of ``SIMULATOR_CONFIGS``.  gtx650's per-block cycles are
+#: binary fractions for binary-fraction counts; tesla_k40 exposes 500/6
+#: cycles of latency per transaction.
 DEVICES = {
     "gtx650": DeviceConfig.gtx650(),
+    "gtx980": DeviceConfig.gtx980(),
     "tesla_k40": DeviceConfig.tesla_k40(),
 }
 
@@ -280,9 +283,11 @@ class WarpLoopContext(BlockContext):
                            shared_rows, global_rows)
 
 
-def matrix_multiplication_blocks(context, config, n: int, pad: int):
-    """Every block of an ``n×n`` product through ``context``: each block's
-    records and totals, then the output matrix."""
+def matrix_multiplication_blocks(context, config, n: int, pad: int,
+                                 blocks=None):
+    """Blocks of an ``n×n`` product through ``context`` (every block, or
+    the indices ``blocks``): each block's records and totals, then the
+    output matrix."""
     memory = GlobalMemory(1 << 20, config.words_per_block)
     if pad:
         memory.allocate("pad", pad)
@@ -293,24 +298,326 @@ def matrix_multiplication_blocks(context, config, n: int, pad: int):
     arrays["ma"].data[:] = rng.integers(0, 64, n * n)
     arrays["mb"].data[:] = rng.integers(0, 64, n * n)
     kernel = MatrixMultiplicationKernel(n, config.warp_width)
-    blocks = []
-    for index in range(kernel.grid_size()):
-        ctx = context(index, kernel.grid_size(), config, memory, arrays)
+    grid = kernel.grid_size()
+    traces = []
+    for index in range(grid) if blocks is None else blocks:
+        ctx = context(index, grid, config, memory, arrays)
         kernel.run_block(ctx)
-        blocks.append((ctx.trace.records, totals(ctx.trace)))
-    return blocks, arrays["mc"].data.tolist()
+        traces.append((ctx.trace.records, totals(ctx.trace)))
+    return traces, arrays["mc"].data.tolist()
+
+
+#: Arrays of a staging sequence: two of each kind, so calls can keep or
+#: change their names.
+SEQUENCE_GLOBALS = ("g", "h")
+SEQUENCE_SHARED = ("_s", "_t")
+
+
+def run_sequence(case: dict, stage) -> list:
+    """Stage ``case["calls"]`` one after another in one block through
+    ``stage``: after each call, its error type, or the block's records and
+    totals and every array's contents.
+
+    Index arrays are passed in ``case["layout"]`` order.  With
+    ``case["in_place"]`` each side's indices live in one array, rewritten
+    in place before each call of its shape.  A call that raises does not
+    end the sequence, so only errors that the per-warp loop raises before
+    it changes anything (an unknown name on the read side) may come
+    before the last call.
+    """
+    config = DeviceConfig.gtx650().with_overrides(
+        warp_width=case["warp_width"]
+    )
+    memory = GlobalMemory(1 << 16, config.words_per_block)
+    if case["global_pad"]:
+        memory.allocate("pad", case["global_pad"])
+    arrays = {}
+    for i, name in enumerate(SEQUENCE_GLOBALS):
+        array = arrays[name] = memory.allocate(
+            name, case["global_length"], dtype=np.float64
+        )
+        array.data[:] = 3.0 * np.arange(array.length) + 1.0 + 0.5 * i
+    ctx = BlockContext(0, 1, config, memory, arrays)
+    if case["shared_pad"]:
+        ctx.shared_alloc("_pad", case["shared_pad"])
+    shared = {}
+    for i, name in enumerate(SEQUENCE_SHARED):
+        shared[name] = ctx.shared_alloc(name, case["shared_length"])
+        shared[name][:] = -1.0 - np.arange(shared[name].size) - 0.5 * i
+    buffers = {}
+    outcomes = []
+    for call in case["calls"]:
+        for side in ("shared_rows", "global_rows"):
+            buffer = buffers.get(side)
+            if (case["in_place"] and buffer is not None
+                    and buffer.shape == call[side].shape):
+                buffer[...] = call[side]
+            else:
+                buffers[side] = np.array(call[side], order=case["layout"])
+        try:
+            stage(ctx, call["to_shared"], call["shared_name"],
+                  call["global_name"], buffers["shared_rows"],
+                  buffers["global_rows"])
+        except SimulatorError as exc:
+            outcomes.append(type(exc))
+            continue
+        outcomes.append((
+            ctx.trace.records, totals(ctx.trace),
+            [arrays[name].data.tolist() for name in SEQUENCE_GLOBALS],
+            [shared[name].tolist() for name in SEQUENCE_SHARED],
+        ))
+    return outcomes
+
+
+def staging_call(to_shared: bool, tile, base: int, shared_name: str = "_s",
+                 global_name: str = "g") -> dict:
+    """Stage ``tile``, a ``(shared_rows, pattern)`` pair, at ``base``."""
+    shared_rows, pattern = tile
+    return {
+        "to_shared": to_shared, "shared_name": shared_name,
+        "global_name": global_name, "shared_rows": shared_rows,
+        "global_rows": pattern + base,
+    }
+
+
+def sequence_case(calls, layout: str = "C", in_place: bool = False) -> dict:
+    """``calls`` on a 4-lane warp, with 64-word arrays behind pads that
+    put them off block and bank boundaries."""
+    return {
+        "warp_width": 4, "global_pad": 3, "shared_pad": 1,
+        "global_length": 64, "shared_length": 64, "layout": layout,
+        "in_place": in_place, "calls": calls,
+    }
+
+
+#: Tiles of two rows of four lanes on a 4-lane warp: coalesced rows of
+#: distinct words, the same global rows staged to a conflicting shared
+#: column, strided global rows, and rows whose indices repeat.
+ROWS = np.arange(8, dtype=np.int64).reshape(2, 4)
+COALESCED = (ROWS, ROWS)
+CONFLICTING = (4 * ROWS, ROWS)
+STRIDED = (ROWS, 4 * ROWS)
+#: Indices 0 and 1 appear twice.  In row-major order index 1 is written
+#: last by row 1; in the memory order of a column-major array, by row 0.
+REPEATED = np.array([[0, 1, 2, 3], [1, 0, 5, 6]], dtype=np.int64)
+#: Tiles whose written side repeats indices, staged in and written back;
+#: the read side's distinct words give each write its own value.
+REPEATING_IN = (REPEATED, ROWS)
+REPEATING_BACK = (ROWS, REPEATED)
+#: A different shape under the same names.
+TALL = (np.arange(8, dtype=np.int64).reshape(4, 2),) * 2
+
+#: Short sequences for each way a repeat can go wrong.  An out-of-range
+#: repeat comes last, because the loop writes the rows before its fault.
+SEQUENCES = {
+    # The same pattern at bases of every residue and back: the
+    # transaction count of a row changes with the residue.
+    "residues": sequence_case([
+        staging_call(True, COALESCED, base) for base in (0, 1, 4, 2, 3, 8)
+    ]),
+    "residues_written_back": sequence_case([
+        staging_call(False, COALESCED, base) for base in (0, 1, 5, 3)
+    ]),
+    # Repeats that leave the global array past either end, on the read
+    # side and on the written side.
+    "read_side_past_the_end": sequence_case([
+        staging_call(True, COALESCED, 0), staging_call(True, COALESCED, 57),
+    ]),
+    "read_side_below_zero": sequence_case([
+        staging_call(True, COALESCED, 8), staging_call(True, COALESCED, -4),
+    ]),
+    "written_side_past_the_end": sequence_case([
+        staging_call(False, COALESCED, 0), staging_call(False, COALESCED, 60),
+    ]),
+    "written_side_below_zero": sequence_case([
+        staging_call(False, COALESCED, 8), staging_call(False, COALESCED, -1),
+    ]),
+    # New shared rows, then a new global pattern, then a new shape, all
+    # under the same names.
+    "changed_pattern_and_shape": sequence_case([
+        staging_call(True, COALESCED, 0), staging_call(True, CONFLICTING, 4),
+        staging_call(True, STRIDED, 4), staging_call(True, COALESCED, 8),
+        staging_call(True, TALL, 8), staging_call(True, COALESCED, 12),
+    ]),
+    # Both directions between the same arrays, interleaved.
+    "interleaved_directions": sequence_case([
+        staging_call(True, COALESCED, 0), staging_call(False, COALESCED, 16),
+        staging_call(True, COALESCED, 5), staging_call(False, CONFLICTING, 20),
+        staging_call(False, COALESCED, 9), staging_call(True, COALESCED, 24),
+    ]),
+    # Repeated destinations on a repeat, in either direction, with the
+    # index arrays column-major.
+    "repeated_destinations": sequence_case([
+        staging_call(True, REPEATING_IN, 0),
+        staging_call(True, REPEATING_IN, 9),
+        staging_call(False, REPEATING_BACK, 16),
+        staging_call(False, REPEATING_BACK, 2),
+    ], layout="F"),
+    # One index array per side, rewritten in place: conflict free, then
+    # all four lanes in one bank, then strided global rows.
+    "rewritten_in_place": sequence_case([
+        staging_call(True, COALESCED, 0), staging_call(True, CONFLICTING, 4),
+        staging_call(True, STRIDED, 8),
+    ], in_place=True),
+    # An unknown read-side name changes nothing, so the repeat after it
+    # still stages; then an unknown written-side name on a repeat.
+    "unknown_names": sequence_case([
+        staging_call(True, COALESCED, 0),
+        staging_call(True, COALESCED, 4, global_name="missing"),
+        staging_call(True, COALESCED, 8),
+        staging_call(True, COALESCED, 12, shared_name="_missing"),
+    ]),
+    "unknown_names_written_back": sequence_case([
+        staging_call(False, COALESCED, 0),
+        staging_call(False, COALESCED, 4, shared_name="_missing"),
+        staging_call(False, COALESCED, 8),
+        staging_call(False, COALESCED, 12, global_name="missing"),
+    ]),
+    # Two faults in the pattern of an earlier call: the read side's row 0
+    # out of range and the written side's name unknown; the row comes
+    # first.  Written back, the shared side is the read side, so the
+    # unknown global name comes before its rows out of range.
+    "two_faults_after_a_call": sequence_case([
+        staging_call(True, COALESCED, 8),
+        staging_call(True, COALESCED, -4, shared_name="_missing"),
+    ]),
+    "two_faults_after_a_call_written_back": sequence_case([
+        staging_call(False, COALESCED, 8),
+        staging_call(False, COALESCED, 60, global_name="missing"),
+    ]),
+}
+
+
+#: How the last call of a generated sequence may fail; ``None`` adds no
+#: call.
+SEQUENCE_FAULTS = (
+    None, "past_the_end", "below_zero", "unknown_shared", "unknown_global",
+)
+
+
+@st.composite
+def staging_sequences(draw) -> dict:
+    """2-6 staging calls in one block, drawn over four tiles, and maybe
+    a last one that fails.
+
+    The first three tiles share a shape: the second has the first's
+    shared rows and the third its pattern.  The fourth may have another
+    shape.  Each call after the first repeats the previous call's tile at
+    a new base (of the same or another residue), or changes its
+    direction, its tile or its names.  A call may name an unknown
+    read-side array.  The failing call repeats the one before it out of
+    range, or with an unknown name.
+    """
+    warp_width = draw(st.sampled_from([4, 32]))
+
+    def index_rows(rows, lanes) -> np.ndarray:
+        if draw(st.booleans()):
+            pitch = draw(st.sampled_from([0, 1, lanes, 32, 33]))
+            stride = draw(st.sampled_from(LANE_STRIDES))
+            return (np.arange(rows)[:, None] * pitch
+                    + np.arange(lanes) * stride).astype(np.int64)
+        values = draw(st.lists(
+            st.integers(0, 40), min_size=rows * lanes, max_size=rows * lanes,
+        ))
+        return np.array(values, dtype=np.int64).reshape(rows, lanes)
+
+    def tile(rows, lanes):
+        pattern = index_rows(rows, lanes)
+        return index_rows(rows, lanes), pattern - pattern.min(initial=0)
+
+    def shape():
+        return draw(st.integers(1, 5)), draw(st.integers(0, 9))
+
+    rows_and_lanes = shape()
+    first, other = tile(*rows_and_lanes), tile(*rows_and_lanes)
+    tiles = [first, (first[0], other[1]), (other[0], first[1]),
+             tile(*shape())]
+    length = 1024
+    span = max(int(pattern.max(initial=0)) for _, pattern in tiles)
+
+    def new_base() -> int:
+        base = (draw(st.integers(0, 8)) * warp_width
+                + draw(st.sampled_from([0, 1, warp_width - 1])))
+        return min(base, length - 1 - span)
+
+    call = {"to_shared": draw(st.booleans()), "tile": 0, "shared_name": "_s",
+            "global_name": "g"}
+    calls = []
+    for _ in range(draw(st.integers(2, 6))):
+        change = draw(st.sampled_from(
+            ["repeat", "repeat", "direction", "tile", "names", "unknown"]
+        ))
+        call = dict(call)
+        if change == "direction":
+            call["to_shared"] = not call["to_shared"]
+        elif change == "tile":
+            call["tile"] = draw(st.integers(0, len(tiles) - 1))
+        elif change == "names":
+            call["shared_name"] = draw(st.sampled_from(SEQUENCE_SHARED))
+            call["global_name"] = draw(st.sampled_from(SEQUENCE_GLOBALS))
+        staged = staging_call(
+            call["to_shared"], tiles[call["tile"]], new_base(),
+            call["shared_name"], call["global_name"],
+        )
+        if change == "unknown":
+            name = "global_name" if call["to_shared"] else "shared_name"
+            staged[name] = "_missing"
+        calls.append(staged)
+    fault = draw(st.sampled_from(SEQUENCE_FAULTS))
+    if fault is not None:
+        last = dict(calls[-1])
+        rows = last["global_rows"] - last["global_rows"].min(initial=0)
+        shift = draw(st.integers(0, 3))
+        if fault == "past_the_end":
+            last["global_rows"] = (rows + length - int(rows.max(initial=0))
+                                   + shift)
+        elif fault == "below_zero":
+            last["global_rows"] = rows - 1 - shift
+        else:
+            last[fault.replace("unknown_", "") + "_name"] = "_missing"
+        calls.append(last)
+    return {
+        "warp_width": warp_width, "global_pad": draw(st.integers(0, 40)),
+        "shared_pad": draw(st.integers(0, 40)), "global_length": length,
+        "shared_length": 1 + draw(st.integers(0, 8)) + max(
+            int(shared_rows.max(initial=0)) for shared_rows, _ in tiles
+        ),
+        "layout": draw(st.sampled_from(["C", "F"])),
+        "in_place": draw(st.booleans()), "calls": calls,
+    }
 
 
 class TestStagingEqualsWarpLoop:
     """``global_to_shared`` and ``shared_to_global`` against the loop."""
 
     @pytest.mark.parametrize("device", sorted(DEVICES))
-    @pytest.mark.parametrize("n, pad", [(32, 0), (64, 5), (96, 17)])
+    @pytest.mark.parametrize("n, pad", [
+        (32, 0), (64, 5), (96, 17),
+        # Eight k-tiles, so each operand's tile pattern repeats seven
+        # times in a block.
+        (256, 7),
+    ])
     def test_matrix_multiplication_blocks_equal_the_loop(self, device, n,
                                                          pad):
         config = DEVICES[device]
-        assert matrix_multiplication_blocks(BlockContext, config, n, pad) == \
-            matrix_multiplication_blocks(WarpLoopContext, config, n, pad)
+        # Of the 64 blocks at side 256, every ninth, the last among them.
+        blocks = range(0, 64, 9) if n == 256 else None
+        assert matrix_multiplication_blocks(
+            BlockContext, config, n, pad, blocks
+        ) == matrix_multiplication_blocks(
+            WarpLoopContext, config, n, pad, blocks
+        )
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_repeated_patterns_equal_the_loop(self, name):
+        assert run_sequence(SEQUENCES[name], stage_in_one_call) == \
+            run_sequence(SEQUENCES[name], stage_by_warp_loop)
+
+    @PROFILE
+    @given(staging_sequences())
+    def test_generated_sequences_equal_the_loop(self, case):
+        assert run_sequence(case, stage_in_one_call) == \
+            run_sequence(case, stage_by_warp_loop)
 
     @PROFILE
     @given(staging_cases())
